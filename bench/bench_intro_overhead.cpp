@@ -150,9 +150,7 @@ int main(int argc, char** argv) {
               << " single-flip trials, " << nranks << " ranks):\n";
     for (const auto& ckpt_app : ckpt_apps) {
       const auto golden =
-          harness::profile_app(*ckpt_app, nranks,
-                               std::chrono::milliseconds(10'000),
-                               /*capture_checkpoints=*/true);
+          harness::profile_app(*ckpt_app, nranks, /*capture_checkpoints=*/true);
       for (const bool late : {true, false}) {
         std::vector<std::vector<fsefi::InjectionPlan>> all_plans;
         all_plans.reserve(trials);
@@ -380,9 +378,7 @@ int main(int argc, char** argv) {
                                 "S4");
     const int nranks = 4;
     const auto golden =
-        harness::profile_app(store_app, nranks,
-                             std::chrono::milliseconds(10'000),
-                             /*capture_checkpoints=*/true);
+        harness::profile_app(store_app, nranks, /*capture_checkpoints=*/true);
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("resilience-bench-serialize-" + std::to_string(::getpid())))

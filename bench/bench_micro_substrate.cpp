@@ -12,7 +12,6 @@
 #include "apps/kernels.hpp"
 #include "fsefi/real.hpp"
 #include "fsefi/transport.hpp"
-#include "simmpi/rank_team.hpp"
 #include "simmpi/runtime.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -22,7 +21,6 @@ using resilience::fsefi::ContextGuard;
 using resilience::fsefi::FaultContext;
 using resilience::fsefi::Real;
 using resilience::simmpi::Comm;
-using resilience::simmpi::RankTeamPool;
 using resilience::simmpi::Runtime;
 
 void BM_DoubleAxpy(benchmark::State& state) {
@@ -319,39 +317,16 @@ void BM_LocalDotReference(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalDotReference)->Repetitions(9);
 
-// Per-trial job launch latency on the pooled rank teams. Both legs pin
-// the threads core — the team pool is its launch path; under the fiber
-// core a job's thread footprint is the worker count, not nranks, so the
-// pooled-vs-unpooled ratio would degenerate. Compare against
-// BM_JobSpawnJoinUnpooled at the same rank count: the acceptance bar is
-// >= 2x at nranks >= 8, computed by tools/merge_bench.py as
-// launch_speedup in BENCH_substrate.json.
+// Per-trial job launch latency: create one fiber per rank, run the empty
+// body, join — all on the calling thread.
 void BM_JobSpawnJoin(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  resilience::simmpi::detail::set_scheduler_fibers_enabled(false);
-  RankTeamPool::set_enabled(true);
-  RankTeamPool::instance().prewarm(ranks, 1);
   for (auto _ : state) {
     const auto result = Runtime::run(ranks, [](Comm&) {});
     benchmark::DoNotOptimize(result.ok);
   }
-  resilience::simmpi::detail::reset_scheduler_fibers_enabled();
 }
 BENCHMARK(BM_JobSpawnJoin)->Arg(2)->Arg(8)->Arg(32)->Arg(64);
-
-/// The seed behavior: spawn and join nranks fresh std::threads per job.
-void BM_JobSpawnJoinUnpooled(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  resilience::simmpi::detail::set_scheduler_fibers_enabled(false);
-  RankTeamPool::set_enabled(false);
-  for (auto _ : state) {
-    const auto result = Runtime::run(ranks, [](Comm&) {});
-    benchmark::DoNotOptimize(result.ok);
-  }
-  RankTeamPool::set_enabled(true);
-  resilience::simmpi::detail::reset_scheduler_fibers_enabled();
-}
-BENCHMARK(BM_JobSpawnJoinUnpooled)->Arg(2)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_PingPong(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
@@ -384,26 +359,10 @@ void BM_PingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_PingPong)->Arg(64)->Arg(4096)->Arg(65536);
 
-// ---- execution cores (DESIGN.md §11) ---------------------------------------
-// The legs below compare the fiber scheduler (fused collectives, the
-// production configuration) against the threads reference core.
-// tools/merge_bench.py derives:
-//   collective_speedup.<n>   fused fiber allreduce vs the threads-core
-//                            mailbox decomposition (bar: >= 1.0x at every
-//                            benched rank count)
-//   scheduler_speedup.collective.<n> and .p2p.<n>
-//                            whole-job fibers-vs-threads wall time at
-//                            16..1024 ranks
-
-/// Scoped execution-core selection; restores env/default resolution.
-struct SchedulerMode {
-  explicit SchedulerMode(bool fibers) {
-    resilience::simmpi::detail::set_scheduler_fibers_enabled(fibers);
-  }
-  ~SchedulerMode() {
-    resilience::simmpi::detail::reset_scheduler_fibers_enabled();
-  }
-};
+// ---- collectives (DESIGN.md §7) --------------------------------------------
+// tools/merge_bench.py derives collective_speedup.<n>: the fused allreduce
+// vs the same collective decomposed into mailbox messages (bar: >= 1.0x
+// at every benched rank count).
 
 void allreduce_rounds(Comm& comm) {
   double acc = 0.0;
@@ -415,7 +374,6 @@ void allreduce_rounds(Comm& comm) {
 
 void BM_AllreduceRound(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  SchedulerMode mode(/*fibers=*/true);
   resilience::simmpi::detail::set_fused_collectives_enabled(true);
   for (auto _ : state) {
     Runtime::run(ranks, allreduce_rounds);
@@ -424,75 +382,18 @@ void BM_AllreduceRound(benchmark::State& state) {
 }
 BENCHMARK(BM_AllreduceRound)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
-/// The seed behavior: the threads core decomposing the same collective
-/// into mailbox p2p messages.
+/// The reference decomposition: the same collective as mailbox p2p
+/// messages along the binary tree.
 void BM_AllreduceRoundMailbox(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
-  SchedulerMode mode(/*fibers=*/false);
+  resilience::simmpi::detail::set_fused_collectives_enabled(false);
   for (auto _ : state) {
     Runtime::run(ranks, allreduce_rounds);
   }
+  resilience::simmpi::detail::set_fused_collectives_enabled(true);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_AllreduceRoundMailbox)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
-
-// Whole-job scheduler legs at campaign scale. Collective-heavy and
-// point-to-point-heavy bodies, 16 to 1024 ranks: the rank counts where
-// thread-per-rank first strains (64) and then drowns (1024) a small
-// host. Each pair runs the identical body, so the ratio is purely the
-// execution core.
-
-void sched_collective_body(Comm& comm) {
-  double acc = 0.0;
-  for (int round = 0; round < 4; ++round) {
-    acc += comm.allreduce_value(1.0 + comm.rank());
-    comm.barrier();
-  }
-  benchmark::DoNotOptimize(acc);
-}
-
-void sched_p2p_body(Comm& comm) {
-  const int right = (comm.rank() + 1) % comm.size();
-  const int left = (comm.rank() + comm.size() - 1) % comm.size();
-  double token = comm.rank();
-  for (int round = 0; round < 4; ++round) {
-    double from_left = 0.0;
-    comm.sendrecv(right, 1, std::span<const double>(&token, 1), left, 1,
-                  std::span<double>(&from_left, 1));
-    token = from_left;
-  }
-  benchmark::DoNotOptimize(token);
-}
-
-void run_sched_leg(benchmark::State& state, bool fibers,
-                   void (*body)(Comm&)) {
-  const int ranks = static_cast<int>(state.range(0));
-  SchedulerMode mode(fibers);
-  for (auto _ : state) {
-    const auto result = Runtime::run(ranks, body);
-    benchmark::DoNotOptimize(result.ok);
-  }
-}
-
-void BM_SchedCollectiveFibers(benchmark::State& state) {
-  run_sched_leg(state, /*fibers=*/true, sched_collective_body);
-}
-BENCHMARK(BM_SchedCollectiveFibers)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_SchedCollectiveThreads(benchmark::State& state) {
-  run_sched_leg(state, /*fibers=*/false, sched_collective_body);
-}
-BENCHMARK(BM_SchedCollectiveThreads)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_SchedPointToPointFibers(benchmark::State& state) {
-  run_sched_leg(state, /*fibers=*/true, sched_p2p_body);
-}
-BENCHMARK(BM_SchedPointToPointFibers)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_SchedPointToPointThreads(benchmark::State& state) {
-  run_sched_leg(state, /*fibers=*/false, sched_p2p_body);
-}
-BENCHMARK(BM_SchedPointToPointThreads)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

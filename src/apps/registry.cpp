@@ -16,15 +16,13 @@ namespace resilience::apps {
 namespace {
 
 // Trial control (checkpoint/early-exit hooks) is installed per rank; it
-// must follow the rank's fiber across scheduler workers like every other
-// per-rank thread-local.
+// must follow the rank's fiber like every other per-rank thread-local.
 [[maybe_unused]] const std::size_t g_trial_control_tls_slot =
     util::FiberTlsRegistry::add({
         []() noexcept -> void* { return detail::tl_trial_control; },
         [](void* v) noexcept {
           detail::tl_trial_control = static_cast<TrialControl*>(v);
         },
-        nullptr,
     });
 
 }  // namespace

@@ -92,7 +92,7 @@ namespace detail {
 inline thread_local TrialControl* tl_trial_control = nullptr;
 }  // namespace detail
 
-/// The controller installed on the calling rank thread, or nullptr when
+/// The controller installed on the calling rank, or nullptr when
 /// the run is not under trial control (the boundary hooks are skipped).
 inline TrialControl* current_trial_control() noexcept {
   return detail::tl_trial_control;

@@ -15,16 +15,15 @@ namespace {
 // -1 = follow RuntimeOptions, 0 = forced off, 1 = forced on.
 std::atomic<int> g_fast_real_override{-1};
 
-// The installed fault context is per-rank state: under the fiber
-// scheduler it must follow the rank's fiber across worker threads, so
-// register the slot for scheduler-side migration.
+// The installed fault context is per-rank state: ranks are fibers sharing
+// one thread, so register the slot for the scheduler to swap it on every
+// fiber switch.
 [[maybe_unused]] const std::size_t g_context_tls_slot =
     util::FiberTlsRegistry::add({
         []() noexcept -> void* { return detail::tl_context; },
         [](void* v) noexcept {
           detail::tl_context = static_cast<FaultContext*>(v);
         },
-        nullptr,
     });
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Per-rank fault-injection state: the software analogue of one F-SEFI
 // guest VM (paper Section 2).
 //
-// Exactly one FaultContext is installed per rank thread for the duration
+// Exactly one FaultContext is installed per rank for the duration
 // of an application run. Every instrumented floating-point operation
 // reports here: the context counts dynamic operations by (region, kind),
 // performs the planned bit flips when their dynamic index comes up, and

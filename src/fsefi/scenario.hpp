@@ -20,7 +20,7 @@
 //
 // DeploymentConfig carries a FaultScenario; TrialSpace expands it into
 // per-rank InjectionPlans with derive_seed substreams, so every campaign
-// stays bit-identical across --jobs, scheduler modes, checkpoint
+// stays bit-identical across --jobs, collective fusion, checkpoint
 // settings, and shard counts. The named catalog below is what the CLI's
 // `--scenario` flag and `scenarios` subcommand expose.
 #pragma once

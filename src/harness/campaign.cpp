@@ -11,8 +11,6 @@
 #include "harness/campaign_engine.hpp"
 #include "harness/executor.hpp"
 #include "harness/golden_cache.hpp"
-#include "simmpi/rank_team.hpp"
-#include "simmpi/runtime.hpp"
 #include "util/options.hpp"
 
 namespace resilience::harness {
@@ -110,7 +108,7 @@ CampaignResult CampaignRunner::run(const apps::App& app,
   }
   // The campaign's accounting domain. Every count below — whether from
   // this thread, an executor worker running a trial chunk, or a rank
-  // thread inside a job — lands here; totals roll up into the study's
+  // fiber inside a job — lands here; totals roll up into the study's
   // scope (if any) when this scope dies.
   telemetry::MetricScope metrics(context.metrics_parent);
   telemetry::TraceSpan span("harness", "campaign", "trials", cfg.trials);
@@ -121,10 +119,10 @@ CampaignResult CampaignRunner::run(const apps::App& app,
     telemetry::ScopeGuard guard(&metrics);
     telemetry::count(telemetry::Counter::HarnessCampaigns);
     if (context.golden_cache != nullptr) {
-      result.golden = *context.golden_cache->get_or_profile(
-          app, cfg.nranks, cfg.deadlock_timeout, context.executor);
+      result.golden = *context.golden_cache->get_or_profile(app, cfg.nranks,
+                                                            context.executor);
     } else {
-      result.golden = profile_app(app, cfg.nranks, cfg.deadlock_timeout);
+      result.golden = profile_app(app, cfg.nranks);
       telemetry::count(telemetry::Counter::HarnessGoldenProfiles);
     }
   }
@@ -147,19 +145,6 @@ CampaignResult CampaignRunner::run(const apps::App& app,
       local_executor = std::make_unique<Executor>(workers);
       executor = local_executor.get();
     }
-  }
-
-  // The thread footprint of one trial's job: nranks in threads mode, the
-  // resolved fiber-worker count in fibers mode. Both the rank-team
-  // prewarm width and the executor admission weight follow it.
-  const int width = simmpi::Runtime::job_width(cfg.nranks);
-
-  if (executor != nullptr && width > 1 && simmpi::RankTeamPool::enabled()) {
-    // Pay the rank-team thread spawns before the timed trial loop: each
-    // concurrently running trial checks out its own team of this width.
-    telemetry::ScopeGuard guard(&metrics);
-    const int concurrent = std::max(1, executor->workers() / width);
-    simmpi::RankTeamPool::instance().prewarm(width, concurrent);
   }
 
   // Run trials [0, n) of `body` to completion and return the
@@ -187,14 +172,13 @@ CampaignResult CampaignRunner::run(const apps::App& app,
       const std::size_t lo = c * chunk;
       const std::size_t hi = std::min(lo + chunk, n);
       if (lo >= hi) break;
-      tasks.push_back({width, [&, c, lo, hi] {
-                         const auto start = std::chrono::steady_clock::now();
-                         for (std::size_t i = lo; i < hi; ++i) body(i);
-                         chunk_seconds[c] =
-                             std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-                       }});
+      tasks.push_back([&, c, lo, hi] {
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t i = lo; i < hi; ++i) body(i);
+        chunk_seconds[c] = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+      });
     }
     executor->run(std::move(tasks));
     // Serial-equivalent injection time: execution spans summed across
@@ -240,8 +224,7 @@ CampaignResult CampaignRunner::run(const apps::App& app,
   // driver issues refs and evaluates the stop rule only at batch
   // boundaries on tallies folded in deterministic (stratum, index) order,
   // so for a given seed the stopping point — and therefore every
-  // classified outcome — is reproducible across worker counts and
-  // scheduler modes.
+  // classified outcome — is reproducible across worker and shard counts.
   AdaptiveDriver driver(cfg, space);
   std::vector<TrialRef> refs;
   while (!(refs = driver.next_batch()).empty()) {

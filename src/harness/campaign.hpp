@@ -7,7 +7,6 @@
 // or Failure and profiling how many ranks the error contaminated.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -39,7 +38,7 @@ struct AdaptiveConfig {
   /// Trials per batch. The stop rule is evaluated only at batch
   /// boundaries on the merged tallies, which is what makes adaptive
   /// stopping points reproducible for a given seed regardless of worker
-  /// count or scheduler mode.
+  /// or shard count.
   std::size_t batch = 64;
   /// No stopping decision before this many trials: intervals on very
   /// small samples are too noisy to trust a stop.
@@ -143,7 +142,6 @@ struct DeploymentConfig {
   /// Hang guard: budget = factor * fault-free max rank ops + slack.
   double hang_budget_factor = 8.0;
   std::uint64_t hang_budget_slack = 1u << 16;
-  std::chrono::milliseconds deadlock_timeout{10'000};
   /// Campaign-executor worker count. 0 = auto (RESILIENCE_THREADS env or
   /// hardware concurrency); 1 = the serial inline path. Execution policy
   /// only: results are bit-identical for every value (trials have

@@ -180,7 +180,7 @@ struct RankBoundary {
   std::vector<std::byte> state;  ///< empty when outside the storage budget
 };
 
-/// Capture sink shared by one golden run's rank threads; each rank writes
+/// Capture sink shared by one golden run's ranks; each rank writes
 /// only its own slot.
 struct CheckpointCapture {
   std::vector<std::vector<RankBoundary>> ranks;

@@ -22,8 +22,7 @@ int Executor::resolve_workers(int requested) noexcept {
 }
 
 Executor::Executor(int max_workers)
-    : workers_(std::max(resolve_workers(max_workers), 1)),
-      available_(workers_) {
+    : workers_(std::max(resolve_workers(max_workers), 1)) {
   if (workers_ <= 1) return;
   threads_.reserve(static_cast<std::size_t>(workers_));
   for (int i = 0; i < workers_; ++i) {
@@ -46,7 +45,7 @@ void Executor::run_inline(std::vector<Task>& tasks) {
   if (outer) tl_in_worker = true;
   for (auto& task : tasks) {
     try {
-      task.fn();
+      task();
     } catch (...) {
       if (!first) first = std::current_exception();
     }
@@ -67,8 +66,7 @@ void Executor::run(std::vector<Task> tasks) {
   {
     std::lock_guard lock(mu_);
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      queue_.push_back({&batch, i, std::clamp(tasks[i].weight, 1, workers_),
-                        std::move(tasks[i].fn)});
+      queue_.push_back({&batch, i, std::move(tasks[i])});
     }
   }
   ready_.notify_all();
@@ -82,19 +80,11 @@ void Executor::worker_main() {
   tl_in_worker = true;
   std::unique_lock lock(mu_);
   for (;;) {
-    // Strict FIFO admission: everyone waits for the head task to fit, so
-    // heavy tasks cannot be starved by a stream of light ones.
-    ready_.wait(lock, [&] {
-      return stop_ || (!queue_.empty() && queue_.front().weight <= available_);
-    });
+    ready_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;
 
     Queued item = std::move(queue_.front());
     queue_.pop_front();
-    available_ -= item.weight;
-    if (!queue_.empty() && queue_.front().weight <= available_) {
-      ready_.notify_one();
-    }
     lock.unlock();
 
     std::exception_ptr error;
@@ -105,15 +95,12 @@ void Executor::worker_main() {
     }
 
     lock.lock();
-    available_ += item.weight;
     Batch& batch = *item.batch;
     if (error && (!batch.error || item.index < batch.error_index)) {
       batch.error = error;
       batch.error_index = item.index;
     }
     if (--batch.pending == 0) batch.done.notify_all();
-    // Returned weight may make the (possibly heavy) head admissible.
-    ready_.notify_all();
   }
 }
 

@@ -1,13 +1,11 @@
-// Weighted-admission thread pool for fault-injection campaigns.
+// FIFO thread pool for fault-injection campaigns.
 //
-// A campaign is hundreds of independent trials, but each trial of an
-// n-rank deployment spawns n simmpi rank threads while it runs. Admitting
-// trials by *count* would oversubscribe the machine (8 concurrent 8-rank
-// trials = 64 runnable threads on an 8-core host), so the executor admits
-// queued tasks by their *rank weight* instead: the sum of in-flight
-// weights never exceeds the budget (== worker count). A serial sweep
-// saturates every core with weight-1 trials while an 8-rank campaign on 8
-// cores runs one trial at a time — both at full hardware utilisation.
+// A campaign is hundreds of independent trials, and every trial — serial
+// or multi-rank — runs its simmpi job on the one thread that executes it
+// (the ranks of a multi-rank job are fibers on that thread). So each task
+// is exactly one thread wide, and the pool simply runs queued tasks in
+// FIFO order on `workers` threads: a serial sweep and a 64-rank campaign
+// both keep every core busy with one trial per worker.
 //
 // Determinism contract: the executor only decides *when* a task runs,
 // never what it computes. Campaign code keeps results bit-identical to
@@ -28,13 +26,7 @@ namespace resilience::harness {
 
 class Executor {
  public:
-  struct Task {
-    /// Rank threads the task occupies while running; clamped to
-    /// [1, budget] at submission so oversized deployments still run
-    /// (alone) rather than starve.
-    int weight = 1;
-    std::function<void()> fn;
-  };
+  using Task = std::function<void()>;
 
   /// max_workers <= 0 resolves via resolve_workers(). A 1-worker executor
   /// spawns no threads; run() then executes batches inline on the caller.
@@ -44,16 +36,15 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Worker count; also the rank-concurrency budget.
+  /// Worker count: the most tasks in flight at once.
   [[nodiscard]] int workers() const noexcept { return workers_; }
 
-  /// Run every task to completion and return. Tasks are admitted in FIFO
-  /// order as their weight fits the remaining budget. Safe to call from
-  /// several threads at once — concurrent batches interleave in the one
-  /// queue under the one budget (how run_study overlaps its phases).
-  /// Called from inside one of this pool's workers (or any Executor's
-  /// worker), the batch runs inline on the caller instead, so nested
-  /// submission cannot deadlock the pool.
+  /// Run every task to completion and return. Tasks start in FIFO order
+  /// as workers free up. Safe to call from several threads at once —
+  /// concurrent batches interleave in the one queue (how run_study
+  /// overlaps its phases). Called from inside one of this pool's workers
+  /// (or any Executor's worker), the batch runs inline on the caller
+  /// instead, so nested submission cannot deadlock the pool.
   /// If tasks threw, the lowest-index exception is rethrown after all
   /// tasks of the batch finished.
   void run(std::vector<Task> tasks);
@@ -74,8 +65,7 @@ class Executor {
   struct Queued {
     Batch* batch;
     std::size_t index;
-    int weight;
-    std::function<void()> fn;
+    Task fn;
   };
 
   void worker_main();
@@ -85,7 +75,6 @@ class Executor {
   std::mutex mu_;
   std::condition_variable ready_;
   std::deque<Queued> queue_;
-  int available_ = 0;  ///< unclaimed budget units, in [0, workers_]
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };

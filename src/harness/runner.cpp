@@ -100,7 +100,6 @@ RunOutput run_app_once(const apps::App& app, int nranks,
   RunOutput out;
 
   simmpi::RunOptions run_opts;
-  run_opts.deadlock_timeout = options.deadlock_timeout;
   run_opts.on_rank_start = [&](int rank) {
     auto& ctx = *contexts[static_cast<std::size_t>(rank)];
     if (!plans.empty()) {
@@ -199,12 +198,10 @@ std::uint64_t GoldenRun::matching_total(fsefi::KindMask kinds,
 }
 
 GoldenRun profile_app(const apps::App& app, int nranks,
-                      std::chrono::milliseconds deadlock_timeout,
                       bool capture_checkpoints) {
   telemetry::TraceSpan span("harness", "golden_profile", "nranks",
                             static_cast<std::uint64_t>(nranks));
   RunOptions opts;
-  opts.deadlock_timeout = deadlock_timeout;
   CheckpointCapture capture;
   if (capture_checkpoints) {
     capture.budget = checkpoint_budget();

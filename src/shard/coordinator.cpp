@@ -210,7 +210,7 @@ class Coordinator {
     }
     if (pid == 0) {
       // Child: only async-signal-safe calls until exec (the parent may be
-      // multi-threaded — rank-team pools survive from earlier campaigns).
+      // multi-threaded — executor pools survive from earlier campaigns).
       ::execl(worker_path_.c_str(), worker_path_.c_str(), fd_arg.c_str(),
               static_cast<char*>(nullptr));
       ::_exit(127);
@@ -440,7 +440,7 @@ harness::CampaignResult run_sharded_campaign(
     harness::GoldenStore store(store_dir);
     const auto golden = store.load_or_fill(app, cfg.nranks, [&] {
       telemetry::count(telemetry::Counter::HarnessGoldenProfiles);
-      return harness::profile_app(app, cfg.nranks, cfg.deadlock_timeout);
+      return harness::profile_app(app, cfg.nranks);
     });
     result.golden = *golden;
   }

@@ -89,7 +89,6 @@ void write_deployment(util::BinWriter& w,
   w.u32(static_cast<std::uint32_t>(c.selection));
   w.f64(c.hang_budget_factor);
   w.u64(c.hang_budget_slack);
-  w.i64(c.deadlock_timeout.count());
   w.i32(c.max_workers);
   const harness::AdaptiveConfig& ad = c.adaptive;
   w.u8(ad.enabled ? 1 : 0);
@@ -118,7 +117,6 @@ harness::DeploymentConfig read_deployment(util::BinReader& r) {
   c.selection = static_cast<harness::TargetSelection>(r.u32());
   c.hang_budget_factor = r.f64();
   c.hang_budget_slack = r.u64();
-  c.deadlock_timeout = std::chrono::milliseconds(r.i64());
   c.max_workers = r.i32();
   harness::AdaptiveConfig& ad = c.adaptive;
   ad.enabled = r.u8() != 0;
@@ -512,8 +510,6 @@ util::Json deployment_to_json(const harness::DeploymentConfig& config) {
   obj["selection"] = util::Json(static_cast<int>(config.selection));
   obj["hang_budget_factor"] = util::Json(config.hang_budget_factor);
   obj["hang_budget_slack"] = util::Json(config.hang_budget_slack);
-  obj["deadlock_timeout_ms"] =
-      util::Json(static_cast<std::int64_t>(config.deadlock_timeout.count()));
   obj["max_workers"] = util::Json(config.max_workers);
   const harness::AdaptiveConfig& ad = config.adaptive;
   util::JsonObject adj;
@@ -554,8 +550,6 @@ harness::DeploymentConfig deployment_from_json(const util::Json& json) {
   config.hang_budget_factor = json.at("hang_budget_factor").as_double();
   config.hang_budget_slack =
       static_cast<std::uint64_t>(json.at("hang_budget_slack").as_int());
-  config.deadlock_timeout =
-      std::chrono::milliseconds(json.at("deadlock_timeout_ms").as_int());
   config.max_workers = static_cast<int>(json.at("max_workers").as_int());
   const auto& adj = json.at("adaptive");
   harness::AdaptiveConfig& ad = config.adaptive;

@@ -51,7 +51,9 @@ enum class WireFormat : std::uint8_t { Json = 0, Binary = 1 };
 /// v3: the deployment config carries the full FaultScenario descriptor
 /// (domain/pattern/arrival/kinds/regions/mtbf) instead of the legacy
 /// kinds/pattern/regions triple.
-inline constexpr std::uint32_t kShardProtocolVersion = 3;
+/// v4: the deployment config no longer carries a deadlock timeout
+/// (simmpi detects deadlock deterministically).
+inline constexpr std::uint32_t kShardProtocolVersion = 4;
 
 // ---- raw frames ------------------------------------------------------------
 

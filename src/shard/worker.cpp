@@ -87,8 +87,7 @@ void worker_loop(int fd, WireFormat* wire) {
     harness::GoldenStore store(init.store);
     golden = store.load_or_fill(*app, config.nranks, [&] {
       telemetry::count(telemetry::Counter::HarnessGoldenProfiles);
-      return harness::profile_app(*app, config.nranks,
-                                  config.deadlock_timeout);
+      return harness::profile_app(*app, config.nranks);
     });
   }
   const harness::TrialSpace space(*app, config, *golden);

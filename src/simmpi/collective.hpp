@@ -1,34 +1,26 @@
 // Fused collectives for the fiber scheduler.
 //
-// On the threaded substrate a collective is a storm of point-to-point
-// envelopes (or, historically, a condvar rendezvous): every rank blocks
-// in turn, and the tree structure costs one wake per edge. With fibers
-// the whole picture simplifies: each participating fiber *arrives* at its
-// group's FusedGroup carrying pointers to its contribution and its output
-// slot, then parks. The last arriver — already running, holding every
-// other participant parked — executes the entire combine in one pass on
-// its own stack (one fused combine instead of 2(N-1) message hops), marks
-// the epoch done and wakes everyone. Logical instrumentation is preserved
-// exactly: each rank records its own logical sends *before* arriving
-// (mirroring the mailbox decomposition byte for byte), and the combiner
-// replays per-rank receive hooks under BorrowFiberTls so taint and
-// telemetry land on the logical rank that would have executed them.
+// As mailbox traffic a collective is a storm of point-to-point envelopes:
+// every rank blocks in turn, and the tree structure costs one park/wake
+// per edge. With fibers the whole picture simplifies: each participating
+// fiber *arrives* at its group's FusedGroup carrying pointers to its
+// contribution and its output slot, then parks. The last arriver —
+// already running, with every other participant parked — executes the
+// entire combine in one pass on its own stack (one fused combine instead
+// of 2(N-1) message hops), marks the epoch done and wakes everyone.
+// Logical instrumentation is preserved exactly: each rank records its own
+// logical sends *before* arriving (mirroring the mailbox decomposition
+// byte for byte), and the combiner replays per-rank receive hooks under
+// BorrowFiberTls so taint and telemetry land on the logical rank that
+// would have executed them.
 //
 // Safety of the borrowed pointers and TLS banks: every non-last
 // arriver's Arrival points into its own fiber stack (accumulator
 // buffers, user output slots), and the combiner swaps each arriver's
-// saved thread-local bank onto its own thread while replaying that
-// rank's instrumentation. Both are safe because an arrived fiber stays
-// *parked* for the whole combine: it parks with a group tag
-// (park_on_group), which exempts it from wake_all_parked — a job abort
-// cannot make it runnable, so no worker can swap its TLS bank
-// concurrently with the borrow. The only wake sources for a group-parked
-// fiber are the combiner's own complete() (after the combine) and the
-// scheduler's no-runnable-fiber sweep (impossible mid-combine: the
-// combiner is a running fiber). BorrowFiberTls additionally waits for
-// each park to commit before swapping, so a not-yet-suspended arriver is
-// never borrowed early. The combiner runs the whole combine under the
-// group mutex and never parks.
+// saved thread-local bank in while replaying that rank's
+// instrumentation. Both are safe because the job runs on one thread: the
+// combiner never parks, so no other fiber — and nothing that could wake
+// or resume an arrived one — runs until the combine is complete.
 //
 // Epochs: collectives on one communicator are totally ordered by the
 // Comm's collective sequence number. The first arriver of an epoch pins
@@ -40,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -63,11 +54,9 @@ class FusedGroup {
  public:
   enum class ArriveOutcome { Waiter, Combiner, EpochMismatch };
 
-  [[nodiscard]] std::mutex& mutex() noexcept { return mu_; }
-
-  /// Record `vrank`'s arrival for `epoch`. Requires mutex(). The last
-  /// arriver becomes the combiner and must run the combine before
-  /// releasing the mutex; arrival slots stay valid exactly that long.
+  /// Record `vrank`'s arrival for `epoch`. The last arriver becomes the
+  /// combiner and must run the combine before it next parks; arrival
+  /// slots stay valid exactly that long.
   ArriveOutcome arrive(int vrank, std::uint64_t epoch, const Arrival& arrival,
                        int group_size) {
     if (epoch <= done_epoch_) {
@@ -95,13 +84,13 @@ class FusedGroup {
     return ArriveOutcome::Waiter;
   }
 
-  /// The combiner's view of a participant's arrival. Requires mutex().
+  /// The combiner's view of a participant's arrival.
   [[nodiscard]] Arrival& slot(int vrank) {
     return arrivals_[static_cast<std::size_t>(vrank)];
   }
 
   /// Combiner only, after all outputs are written: publish the epoch and
-  /// wake every parked participant. Requires mutex().
+  /// wake every parked participant.
   void complete(std::uint64_t epoch, FiberScheduler& scheduler) {
     done_epoch_ = epoch;
     telemetry::count(telemetry::Counter::SimmpiFusedCollectives);
@@ -114,7 +103,6 @@ class FusedGroup {
   [[nodiscard]] WaitList& waiters() noexcept { return waiters_; }
 
  private:
-  std::mutex mu_;
   WaitList waiters_;
   std::vector<Arrival> arrivals_;
   int arrived_ = 0;
@@ -127,14 +115,12 @@ class FusedGroup {
 class FusedHub {
  public:
   FusedGroup& group(std::uint32_t salt) {
-    std::lock_guard lock(mu_);
     auto& slot = groups_[salt];
     if (slot == nullptr) slot = std::make_unique<FusedGroup>();
     return *slot;
   }
 
  private:
-  std::mutex mu_;
   std::unordered_map<std::uint32_t, std::unique_ptr<FusedGroup>> groups_;
 };
 

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -44,25 +43,20 @@ namespace detail {
 
 /// Shared state of one running job; owned by Runtime::run.
 struct JobState {
-  explicit JobState(int nranks, std::chrono::milliseconds deadlock_timeout)
-      : timeout(deadlock_timeout) {
+  /// `sched` drives the ranks of a multi-rank job (null for one rank) and
+  /// must outlive the job state.
+  JobState(int nranks, FiberScheduler* sched) : scheduler(sched) {
     mailboxes.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
-      mailboxes.push_back(std::make_unique<Mailbox>(&abort, timeout));
+      mailboxes.push_back(std::make_unique<Mailbox>(&abort, scheduler));
     }
   }
 
-  /// Wire the job to a fiber scheduler (fibers mode): blocking receives
-  /// park their fiber, and collectives take the fused path.
-  void attach_scheduler(FiberScheduler* sched) {
-    scheduler = sched;
-    for (auto& box : mailboxes) box->set_scheduler(sched);
-  }
-
+  /// Every parked rank — in a receive or at a fused collective — wakes
+  /// and observes the abort token.
   void trigger_abort() {
     abort.trigger();
     if (scheduler != nullptr) scheduler->wake_all_parked();
-    for (auto& box : mailboxes) box->interrupt();
   }
 
   /// Aggregate envelope-pool statistics across every rank's mailbox.
@@ -77,21 +71,22 @@ struct JobState {
   }
 
   AbortToken abort;
-  std::chrono::milliseconds timeout;
+  /// Fiber scheduler driving this job's ranks; null on the inline 1-rank
+  /// path.
+  FiberScheduler* scheduler;
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
-  /// Fiber scheduler driving this job's ranks; null in threads mode.
-  FiberScheduler* scheduler = nullptr;
   /// Fused-collective meeting points, keyed by communicator salt.
   FusedHub fused;
   /// Transport statistics for the whole job (all communicators).
-  std::atomic<std::uint64_t> messages_sent{0};
-  std::atomic<std::uint64_t> bytes_sent{0};
+  std::uint64_t messages_sent = 0;
+  std::uint64_t bytes_sent = 0;
 };
 
-/// Whether fiber-mode collectives fuse at the group meeting point (the
-/// default) or decompose into mailbox messages like threads mode. A
-/// programmatic test/bench toggle only — there is no environment knob,
-/// because the fused path is semantically identical and strictly faster.
+/// Whether collectives fuse at the group meeting point (the default) or
+/// decompose into mailbox messages. A programmatic test/bench toggle
+/// only — there is no environment knob, because the fused path is
+/// semantically identical and strictly faster; the mailbox decomposition
+/// is the in-tree reference the fused path is checked against.
 [[nodiscard]] bool fused_collectives_enabled() noexcept;
 void set_fused_collectives_enabled(bool enabled) noexcept;
 
@@ -251,11 +246,11 @@ class Comm {
   void barrier();
 
   /// Broadcast `buf` from `root` to all ranks over a binomial tree.
-  /// Under the fiber scheduler the broadcast executes as one fused
-  /// combine (the last arriving fiber copies the root's buffer to every
-  /// participant); otherwise every tree edge is a mailbox message. Both
-  /// paths deliver the same bytes with the same per-rank receive
-  /// instrumentation and the same logical transport stats.
+  /// The broadcast executes as one fused combine (the last arriving fiber
+  /// copies each parent's buffer to its children); with fusion off every
+  /// tree edge is a mailbox message. Both paths deliver the same bytes
+  /// with the same per-rank receive instrumentation and the same logical
+  /// transport stats.
   template <Transportable T>
   void bcast(std::span<T> buf, int root) {
     check_peer(root, "bcast");
@@ -586,11 +581,10 @@ class Comm {
   // counts. See collective.hpp for the arrival/epoch protocol and the
   // pointer-safety argument.
 
-  /// True when collectives should fuse: this job runs on the fiber
-  /// scheduler, the caller is a fiber, and the test toggle is on.
+  /// True when collectives should fuse: this is a multi-rank job (so it
+  /// runs on the fiber scheduler) and the test toggle is on.
   [[nodiscard]] bool fused_active() const noexcept {
-    return size_ > 1 && job_->scheduler != nullptr &&
-           FiberScheduler::in_fiber() && detail::fused_collectives_enabled();
+    return size_ > 1 && detail::fused_collectives_enabled();
   }
 
   /// This communicator's fused meeting point (created on first use).
@@ -604,8 +598,8 @@ class Comm {
   /// Count one logical tree message that the fused path did not
   /// physically enqueue, keeping messages_sent/bytes_sent path-independent.
   void record_logical_send(std::size_t bytes) noexcept {
-    job_->messages_sent.fetch_add(1, std::memory_order_relaxed);
-    job_->bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
+    ++job_->messages_sent;
+    job_->bytes_sent += bytes;
   }
 
   /// The epoch of the collective op about to run. Consumes the same SPMD
@@ -618,23 +612,15 @@ class Comm {
     return epoch;
   }
 
-  /// Park until the fused group's combiner publishes `epoch`. Requires
-  /// `lock` on the group mutex. An arrived rank must park *before*
-  /// checking abort or deadlock and stay parked until woken: its Arrival
-  /// slot and the group's arrival count are combiner inputs, so bailing
-  /// out between arrive() and park would hand a racing combiner a stale
-  /// slot and an unparked fiber to borrow. The group-tagged park exempts
-  /// this fiber from abort wakeups while a combiner may be mid-combine
-  /// (see FiberScheduler::wake_all_parked and BorrowFiberTls); when no
-  /// combiner ever comes, the scheduler's no-runnable sweep — which
-  /// cannot coincide with a combine — delivers the wake, and abort and
-  /// deadlock are observed here after resuming.
-  void await_fused(detail::FusedGroup& group,
-                   std::unique_lock<std::mutex>& lock, std::uint64_t epoch) {
+  /// Park until the fused group's combiner publishes `epoch`. Abort and
+  /// deadlock are observed after a wake: an arrival whose job aborted is
+  /// never combined, because every rank checks the abort token before it
+  /// arrives.
+  void await_fused(detail::FusedGroup& group, std::uint64_t epoch) {
     detail::Fiber* const self = FiberScheduler::current_fiber();
     group.waiters().add(self);
     while (group.done_epoch() < epoch) {
-      job_->scheduler->park_on_group(lock, &group);
+      job_->scheduler->park();
       if (group.done_epoch() >= epoch) break;
       if (job_->abort.triggered()) {
         group.waiters().remove(self);
@@ -665,7 +651,6 @@ class Comm {
     arrival.out = arrival.data;
     arrival.len = buf.size_bytes();
     arrival.fiber = FiberScheduler::current_fiber();
-    std::unique_lock lock(group.mutex());
     switch (group.arrive(vrank, epoch, arrival, size_)) {
       case detail::FusedGroup::ArriveOutcome::EpochMismatch:
         throw UsageError("collective: SPMD sequence mismatch");
@@ -674,7 +659,7 @@ class Comm {
         group.complete(epoch, *job_->scheduler);
         return;
       case detail::FusedGroup::ArriveOutcome::Waiter:
-        await_fused(group, lock, epoch);
+        await_fused(group, epoch);
         return;  // combiner already wrote buf and replayed on_receive
     }
   }
@@ -716,8 +701,8 @@ class Comm {
     detail::FusedGroup& group = fused_group();
     const int vrank = (rank_ - root + size_) % size_;
     // The accumulator lives on this fiber's stack; it stays valid for the
-    // combiner because this fiber cannot resume until the combiner
-    // releases the group mutex (see collective.hpp).
+    // combiner because this fiber stays parked until the combine is
+    // complete (see collective.hpp).
     std::vector<T> acc(in.begin(), in.end());
     if (vrank != 0) record_logical_send(acc.size() * sizeof(T));
     detail::Arrival arrival;
@@ -726,7 +711,6 @@ class Comm {
         vrank == 0 ? reinterpret_cast<std::byte*>(out.data()) : nullptr;
     arrival.len = acc.size() * sizeof(T);
     arrival.fiber = FiberScheduler::current_fiber();
-    std::unique_lock lock(group.mutex());
     switch (group.arrive(vrank, epoch, arrival, size_)) {
       case detail::FusedGroup::ArriveOutcome::EpochMismatch:
         throw UsageError("collective: SPMD sequence mismatch");
@@ -743,7 +727,7 @@ class Comm {
         return;
       }
       case detail::FusedGroup::ArriveOutcome::Waiter:
-        await_fused(group, lock, epoch);
+        await_fused(group, epoch);
         return;
     }
   }
@@ -866,8 +850,8 @@ class Comm {
       std::memcpy(env.bytes.data(), values.data(), values.size_bytes());
     }
     if (job_->abort.triggered()) throw AbortError();
-    job_->messages_sent.fetch_add(1, std::memory_order_relaxed);
-    job_->bytes_sent.fetch_add(values.size_bytes(), std::memory_order_relaxed);
+    ++job_->messages_sent;
+    job_->bytes_sent += values.size_bytes();
     dest_box.push(std::move(env));
   }
 

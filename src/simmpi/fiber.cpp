@@ -93,9 +93,9 @@ class StackPool {
   std::unordered_map<std::size_t, std::vector<void*>> idle_;
 };
 
-/// Where a switched-out fiber returns to: the resuming worker saves its
-/// own context here for the duration of the slice. Thread-local, so a
-/// fiber resumed on a different worker returns to *that* worker.
+/// Where a switched-out fiber returns to: the resuming run loop saves its
+/// own context here for the duration of the slice. Thread-local, because
+/// every thread may be running a job of its own.
 thread_local ucontext_t* tl_return_context = nullptr;
 #if defined(RESILIENCE_TSAN_FIBERS)
 thread_local void* tl_worker_tsan_fiber = nullptr;

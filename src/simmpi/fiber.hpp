@@ -2,7 +2,7 @@
 // mmap stack plus a ucontext execution context.
 //
 // A FiberContext is the mechanism only — allocate a stack, run an entry
-// function on it, switch in from a worker thread and out from the fiber.
+// function on it, switch in from the run loop and out from the fiber.
 // All policy (run queues, park/wake states, deadlock detection) lives in
 // scheduler.{hpp,cpp}.
 //
@@ -56,8 +56,7 @@ class FiberContext {
   /// switch into another fiber.
   void switch_in();
 
-  /// Transfer from inside the fiber back to the worker that resumed it.
-  /// Callable on any thread the fiber was resumed on (migration-safe).
+  /// Transfer from inside the fiber back to the run loop that resumed it.
   void switch_out();
 
   /// Drop every pooled idle stack mapping (tests / memory pressure).

@@ -6,10 +6,10 @@
 // consumed payload buffers return to a freelist and the next send reuses
 // them, so steady-state traffic performs no allocations at all.
 //
-// The pool itself is unsynchronized. Each Mailbox embeds one and guards
-// it with the mailbox mutex it already takes per message, which shards
-// the freelists by destination rank: a ping-pong pair recycles the same
-// two buffers forever, and there is no job-global allocator lock.
+// The pool itself is unsynchronized, like the mailbox that embeds it (a
+// job runs on one thread). One pool per destination mailbox shards the
+// freelists by rank: a ping-pong pair recycles the same two buffers
+// forever.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,13 @@
 #include "simmpi/runtime.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <optional>
 
-#include "simmpi/rank_team.hpp"
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "simmpi/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/options.hpp"
@@ -17,51 +17,12 @@ namespace resilience::simmpi {
 namespace detail {
 namespace {
 
-// Programmatic overrides: -1 = follow RuntimeOptions. The options values
-// are latched on first use (same latching caveat as every set_*_enabled
+// Programmatic override: 0 = follow RuntimeOptions. The options value is
+// latched on first use (same latching caveat as every set_*_enabled
 // pattern in this repo — documented in util/options.hpp).
-std::atomic<int> g_fibers_override{-1};
-std::atomic<int> g_workers_override{-1};
 std::atomic<std::size_t> g_stack_kb_override{0};
 
-int hardware_workers() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 }  // namespace
-
-bool scheduler_fibers_enabled() noexcept {
-  const int forced = g_fibers_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool from_options =
-      util::RuntimeOptions::global().scheduler_fibers;
-  return from_options;
-}
-
-void set_scheduler_fibers_enabled(bool enabled) noexcept {
-  g_fibers_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void reset_scheduler_fibers_enabled() noexcept {
-  g_fibers_override.store(-1, std::memory_order_relaxed);
-}
-
-int resolved_scheduler_workers(int nranks) noexcept {
-  int workers = g_workers_override.load(std::memory_order_relaxed);
-  if (workers < 0) {
-    static const int from_options =
-        util::RuntimeOptions::global().sched_workers;
-    workers = from_options;
-  }
-  if (workers <= 0) workers = hardware_workers();
-  return std::min(workers, std::max(1, nranks));
-}
-
-void set_scheduler_workers(int workers) noexcept {
-  g_workers_override.store(workers < 0 ? -1 : workers,
-                           std::memory_order_relaxed);
-}
 
 std::size_t resolved_fiber_stack_bytes() noexcept {
   std::size_t kb = g_stack_kb_override.load(std::memory_order_relaxed);
@@ -77,20 +38,25 @@ void set_fiber_stack_kb(std::size_t kb) noexcept {
   g_stack_kb_override.store(kb, std::memory_order_relaxed);
 }
 
+void set_scheduler_workers(int /*workers*/) noexcept {}
+
 }  // namespace detail
 
-RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
-                       const RunOptions& options) {
-  if (nranks < 1) throw UsageError("Runtime::run: nranks must be >= 1");
+namespace {
 
-  detail::JobState job(nranks, options.deadlock_timeout);
+/// One job from launch to teardown; every allocation it makes is freed by
+/// the time it returns.
+RunResult run_job(int nranks, const std::function<void(Comm&)>& body,
+                  const RunOptions& options) {
+  // Declared before the job state, which points at it.
+  std::optional<FiberScheduler> sched;
+  if (nranks > 1) sched.emplace(nranks, detail::resolved_fiber_stack_bytes());
+  detail::JobState job(nranks, sched ? &*sched : nullptr);
 
-  std::mutex result_mu;
   RunResult result;
   result.ok = true;
 
   auto record_failure = [&](int rank, const char* what, bool deadlock) {
-    std::lock_guard lock(result_mu);
     // Keep the first root cause; ranks that die with AbortError are
     // collateral damage of an already-recorded failure.
     if (result.ok) {
@@ -102,9 +68,10 @@ RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
     }
   };
 
-  // Rank threads run with the launching thread's metric-scope stack, so
-  // substrate counters land in the campaign that caused them. The handle
-  // stays valid because this thread blocks until the job joins.
+  // Rank fibers start with empty thread-local banks; re-establish the
+  // launching thread's metric-scope stack on each so substrate counters
+  // land in the campaign that caused them. The handle stays valid because
+  // the launching thread runs the whole job.
   const telemetry::ScopeStackHandle scopes = telemetry::current_scope_stack();
 
   auto rank_main = [&](int rank) {
@@ -128,56 +95,13 @@ RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
     if (options.on_rank_exit) options.on_rank_exit(rank);
   };
 
-  if (nranks == 1) {
-    // Serial execution runs inline: no thread spawn, so the fault
-    // injector's thread-local context installed by the caller stays valid
-    // and serial campaigns are cheap.
-    rank_main(0);
-  } else if (detail::scheduler_fibers_enabled()) {
-    // Fiber scheduler: one resumable fiber per rank, multiplexed over a
-    // small worker pool. Blocking points park the fiber instead of an OS
-    // thread, so the job's thread footprint is the worker count no
-    // matter how many ranks it simulates.
-    FiberScheduler sched(nranks, detail::resolved_fiber_stack_bytes());
-    job.attach_scheduler(&sched);
-    sched.start(rank_main);
-    const int workers = detail::resolved_scheduler_workers(nranks);
-    if (workers == 1) {
-      // Single worker drives every fiber inline on the launching thread:
-      // no handoff, no spawn — the common case on small hosts.
-      sched.worker_main(0);
-    } else if (RankTeamPool::enabled()) {
-      // Reuse the rank-team pool as the worker pool, at worker width
-      // instead of rank width.
-      RankTeamPool::Lease lease = RankTeamPool::instance().acquire(workers);
-      lease.team().run([&sched](int worker) { sched.worker_main(worker); });
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        threads.emplace_back([&sched, w] { sched.worker_main(w); });
-      }
-      for (auto& t : threads) t.join();
-    }
-    job.attach_scheduler(nullptr);  // sched dies at scope exit
-  } else if (RankTeamPool::enabled()) {
-    // Check a parked team of this width out of the process-wide pool;
-    // repeated jobs at one width reuse threads instead of respawning
-    // them. The on_rank_start/on_rank_exit hooks run inside rank_main,
-    // so per-rank thread-local state is re-installed every job and team
-    // reuse is invisible to the ranks.
-    RankTeamPool::Lease lease = RankTeamPool::instance().acquire(nranks);
-    lease.team().run(rank_main);
+  if (sched) {
+    sched->run(rank_main);
   } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      threads.emplace_back(rank_main, r);
-    }
-    for (auto& t : threads) t.join();
+    rank_main(0);
   }
-  result.messages_sent = job.messages_sent.load(std::memory_order_relaxed);
-  result.bytes_sent = job.bytes_sent.load(std::memory_order_relaxed);
+  result.messages_sent = job.messages_sent;
+  result.bytes_sent = job.bytes_sent;
   const BufferPool::Stats pool = job.pool_stats();
   result.pool_allocs = pool.allocs;
   result.pool_reuses = pool.reuses;
@@ -191,12 +115,20 @@ RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
   return result;
 }
 
-int Runtime::job_width(int nranks) noexcept {
-  if (nranks <= 1) return 1;
-  if (detail::scheduler_fibers_enabled()) {
-    return detail::resolved_scheduler_workers(nranks);
-  }
-  return nranks;
+}  // namespace
+
+RunResult Runtime::run(int nranks, const std::function<void(Comm&)>& body,
+                       const RunOptions& options) {
+  if (nranks < 1) throw UsageError("Runtime::run: nranks must be >= 1");
+  RunResult result = run_job(nranks, body, options);
+#if defined(__GLIBC__)
+  // Several multi-rank jobs run at once, one per executor worker, and
+  // glibc keeps each worker arena's freed job heap (mailboxes, envelope
+  // buffers, app state) mapped. Hand it back so resident memory tracks
+  // the live jobs, not the peak of every arena.
+  if (nranks > 1) ::malloc_trim(0);
+#endif
+  return result;
 }
 
 }  // namespace resilience::simmpi

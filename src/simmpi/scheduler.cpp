@@ -7,9 +7,9 @@ namespace resilience::simmpi {
 
 namespace {
 
-/// The fiber the calling thread is currently executing, if any. Workers
-/// set it around each slice; everything else (mailbox waits, collective
-/// arrivals) reads it to decide fiber-path vs thread-path behaviour.
+/// The fiber the calling thread is currently executing, if any. The run
+/// loop sets it around each slice; everything else (mailbox waits,
+/// collective arrivals) reads it to decide fiber-path behaviour.
 thread_local detail::Fiber* tl_current_fiber = nullptr;
 
 }  // namespace
@@ -19,9 +19,7 @@ namespace detail {
 Fiber::Fiber(FiberScheduler* scheduler, int rank, std::size_t stack_bytes)
     : scheduler_(scheduler),
       rank_(rank),
-      context_(stack_bytes, &Fiber::entry_thunk, this) {
-  util::FiberTlsRegistry::init(tls_);
-}
+      context_(stack_bytes, &Fiber::entry_thunk, this) {}
 
 void Fiber::entry_thunk(void* arg) {
   auto* fiber = static_cast<Fiber*>(arg);
@@ -35,22 +33,41 @@ FiberScheduler::FiberScheduler(int nranks, std::size_t stack_bytes)
 
 FiberScheduler::~FiberScheduler() = default;
 
-void FiberScheduler::start(const std::function<void(int rank)>& body) {
+void FiberScheduler::run(const std::function<void(int rank)>& body) {
   body_ = body;
   fibers_.reserve(static_cast<std::size_t>(nranks_));
-  std::lock_guard lock(mu_);
   for (int rank = 0; rank < nranks_; ++rank) {
     fibers_.push_back(
         std::make_unique<detail::Fiber>(this, rank, stack_bytes_));
     run_queue_.push_back(fibers_.back().get());
   }
+  int finished = 0;
+  while (finished < nranks_) {
+    if (run_queue_.empty()) {
+      // Nothing runnable, some fibers unfinished: no future event can
+      // wake them (no timers, no external input). The job is deadlocked —
+      // deterministically, not after a timeout. Run the parked fibers so
+      // their blocking primitives observe deadlocked() and throw.
+      deadlocked_ = true;
+      for (auto& fiber : fibers_) unpark(fiber.get());
+      if (run_queue_.empty()) {
+        std::fprintf(stderr, "scheduler: unfinished fibers but none parked\n");
+        std::abort();
+      }
+    }
+    detail::Fiber* fiber = run_queue_.front();
+    run_queue_.pop_front();
+    fiber->state_ = detail::Fiber::State::Running;
+    resume(fiber);
+    if (fiber->state_ == detail::Fiber::State::Done) ++finished;
+  }
 }
 
 void FiberScheduler::fiber_entry(detail::Fiber* fiber) {
   body_(fiber->rank_);
-  fiber->finished_ = true;
-  // Final switch back to the worker, which commits Done. The fiber is
-  // never resumed again; the trampoline aborts if it somehow is.
+  fiber->state_ = detail::Fiber::State::Done;
+  // Final switch back to the run loop; the fiber is never resumed again
+  // (the trampoline aborts if it somehow is).
   fiber->context_.switch_out();
 }
 
@@ -62,137 +79,32 @@ void FiberScheduler::resume(detail::Fiber* fiber) {
   util::FiberTlsRegistry::swap(fiber->tls_);
 }
 
-void FiberScheduler::worker_main(int /*worker_index*/) {
-  std::unique_lock lock(mu_);
-  for (;;) {
-    if (finished_ == nranks_) {
-      cv_.notify_all();
-      return;
-    }
-    if (!run_queue_.empty()) {
-      detail::Fiber* fiber = run_queue_.front();
-      run_queue_.pop_front();
-      fiber->state_ = detail::Fiber::State::Running;
-      ++running_;
-      lock.unlock();
-      resume(fiber);
-      lock.lock();
-      --running_;
-      // Commit the slice outcome. The fiber cannot be touched by wakers
-      // between its switch-out and this commit in any way we could lose:
-      // unpark flags Parking -> ParkingWoken and we requeue it here.
-      if (fiber->finished_) {
-        fiber->state_ = detail::Fiber::State::Done;
-        ++finished_;
-        if (finished_ == nranks_) cv_.notify_all();
-      } else if (fiber->state_ == detail::Fiber::State::ParkingWoken) {
-        fiber->state_ = detail::Fiber::State::Runnable;
-        run_queue_.push_back(fiber);
-        cv_.notify_one();
-      } else {
-        fiber->state_ = detail::Fiber::State::Parked;
-        // The fiber's TLS bank is now saved (resume() swapped it back
-        // before this commit): a combiner waiting to borrow it may go.
-        if (fiber->park_group_ != nullptr) borrow_cv_.notify_all();
-      }
-      continue;
-    }
-    if (running_ == 0) {
-      // Nothing runnable, nothing running, some fibers unfinished: no
-      // future event can wake them (no timers, no external input). The
-      // job is deadlocked — deterministically, not after a timeout.
-      if (!deadlock_declared_) {
-        deadlock_declared_ = true;
-        deadlocked_.store(true, std::memory_order_release);
-      }
-      for (auto& fiber : fibers_) {
-        unpark_locked(fiber.get());
-      }
-      // Woken fibers are queued; run them so their blocking primitives
-      // observe deadlocked() and throw.
-      if (!run_queue_.empty()) continue;
-    }
-    cv_.wait(lock);
-  }
-}
-
-void FiberScheduler::park(std::unique_lock<std::mutex>& owner_lock) {
-  park_impl(owner_lock, nullptr);
-}
-
-void FiberScheduler::park_on_group(std::unique_lock<std::mutex>& owner_lock,
-                                   const void* group_tag) {
-  park_impl(owner_lock, group_tag);
-}
-
-void FiberScheduler::park_impl(std::unique_lock<std::mutex>& owner_lock,
-                               const void* group_tag) {
+void FiberScheduler::park() {
   detail::Fiber* fiber = current_fiber();
   if (fiber == nullptr) {
     std::fprintf(stderr, "scheduler: park called outside a fiber\n");
     std::abort();
   }
-  {
-    std::lock_guard lock(mu_);
-    fiber->state_ = detail::Fiber::State::Parking;
-    fiber->park_group_ = group_tag;
-  }
-  // Release the owner lock only after the state is Parking: a waker that
-  // now finds this fiber in a WaitList flags it ParkingWoken and the
-  // committing worker requeues it — the wakeup cannot be lost.
-  owner_lock.unlock();
+  fiber->state_ = detail::Fiber::State::Parked;
   fiber->context_.switch_out();
-  owner_lock.lock();
 }
 
 void FiberScheduler::unpark(detail::Fiber* fiber) {
-  std::lock_guard lock(mu_);
-  unpark_locked(fiber);
-}
-
-void FiberScheduler::unpark_locked(detail::Fiber* fiber) {
-  switch (fiber->state_) {
-    case detail::Fiber::State::Parked:
-      fiber->park_group_ = nullptr;
-      fiber->state_ = detail::Fiber::State::Runnable;
-      run_queue_.push_back(fiber);
-      cv_.notify_one();
-      break;
-    case detail::Fiber::State::Parking:
-      fiber->park_group_ = nullptr;
-      fiber->state_ = detail::Fiber::State::ParkingWoken;
-      break;
-    default:
-      break;  // already runnable, running, woken, or done: nothing to do
-  }
+  if (fiber->state_ != detail::Fiber::State::Parked) return;
+  fiber->state_ = detail::Fiber::State::Runnable;
+  run_queue_.push_back(fiber);
 }
 
 void FiberScheduler::yield_current() {
   detail::Fiber* fiber = current_fiber();
   if (fiber == nullptr) return;
-  {
-    std::lock_guard lock(fiber->scheduler_->mu_);
-    // ParkingWoken makes the committing worker requeue the fiber at the
-    // back of the run queue: exactly a cooperative yield.
-    fiber->state_ = detail::Fiber::State::ParkingWoken;
-  }
+  fiber->state_ = detail::Fiber::State::Runnable;
+  fiber->scheduler_->run_queue_.push_back(fiber);
   fiber->context_.switch_out();
 }
 
 void FiberScheduler::wake_all_parked() {
-  std::lock_guard lock(mu_);
-  for (auto& fiber : fibers_) {
-    // A fiber parked on a fused-collective group may have its TLS bank
-    // borrowed by a mid-combine combiner right now; resuming it would
-    // race the borrow's swaps. Leave it parked: the combiner's
-    // complete() wakes the group when the combine ends, and if no
-    // combiner ever arrives (abort before the last arrival) the
-    // no-runnable-fiber sweep in worker_main — which cannot coincide
-    // with a combine, since a combiner is a running fiber — delivers
-    // the wake instead.
-    if (fiber->park_group_ != nullptr) continue;
-    unpark_locked(fiber.get());
-  }
+  for (auto& fiber : fibers_) unpark(fiber.get());
 }
 
 detail::Fiber* FiberScheduler::current_fiber() noexcept {
@@ -202,30 +114,11 @@ detail::Fiber* FiberScheduler::current_fiber() noexcept {
 BorrowFiberTls::BorrowFiberTls(detail::Fiber* fiber) {
   if (fiber == nullptr || fiber == FiberScheduler::current_fiber()) return;
   fiber_ = fiber;
-  FiberScheduler* sched = fiber->scheduler_;
-  std::unique_lock lock(sched->mu_);
-  // Wait for the fiber's park to commit: until the owning worker swaps
-  // the fiber's live thread-locals back into tls_ and marks it Parked,
-  // the bank is not ours to borrow. The wait is short and bounded — the
-  // suspending worker is between switch-out and commit, with nothing to
-  // block on — and the state is stable for the borrow's lifetime: the
-  // fiber is group-parked (exempt from wake_all_parked), its group's
-  // complete() runs only after this combine, and the no-runnable sweep
-  // cannot fire while the combiner itself is running.
-  while (fiber->state_ != detail::Fiber::State::Parked) {
-    if (fiber->state_ != detail::Fiber::State::Parking) {
-      std::fprintf(stderr, "scheduler: borrowed fiber is not parked\n");
-      std::abort();
-    }
-    sched->borrow_cv_.wait(lock);
-  }
   util::FiberTlsRegistry::swap(fiber_->tls_);
 }
 
 BorrowFiberTls::~BorrowFiberTls() {
-  if (fiber_ != nullptr) {
-    util::FiberTlsRegistry::swap(fiber_->tls_);
-  }
+  if (fiber_ != nullptr) util::FiberTlsRegistry::swap(fiber_->tls_);
 }
 
 }  // namespace resilience::simmpi

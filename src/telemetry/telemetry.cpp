@@ -15,8 +15,6 @@ constexpr const char* kCounterNames[kCounterCount] = {
     "simmpi.buffer_reuses",
     "simmpi.mailbox_waits",
     "simmpi.fused_collectives",
-    "simmpi.team_checkouts",
-    "simmpi.team_spawns",
     "fsefi.dispatch_fast_idle",
     "fsefi.dispatch_fast_live",
     "fsefi.dispatch_reference",
@@ -67,10 +65,7 @@ constexpr bool kTimingBorn[kCounterCount] = {
     /*SimmpiBufferAllocs*/ true,   // freelist warmth is timing-dependent
     /*SimmpiBufferReuses*/ true,
     /*SimmpiMailboxWaits*/ true,   // whether a recv blocks is a race
-    /*SimmpiFusedCollectives*/ true,  // fibers-mode-only; abort tails vary
-    /*SimmpiTeamCheckouts*/ true,  // scheduler-mode-dependent (fibers lease
-                                   // one worker team, threads one per job)
-    /*SimmpiTeamSpawns*/ true,     // pool hit/miss depends on interleaving
+    /*SimmpiFusedCollectives*/ true,  // zero with fusion off; abort tails vary
     /*FsefiDispatchFastIdle*/ false,
     /*FsefiDispatchFastLive*/ false,
     /*FsefiDispatchReference*/ false,
@@ -84,7 +79,7 @@ constexpr bool kTimingBorn[kCounterCount] = {
     /*HarnessGoldenWaits*/ true,
     /*HarnessCheckpointRestores*/ false,
     /*HarnessEarlyExits*/ false,
-    /*HarnessDeadlockAborts*/ true,  // wall-clock watchdog
+    /*HarnessDeadlockAborts*/ true,  // diagnostic only
     /*HarnessHangAborts*/ false,     // op-budget guard is deterministic
     /*HarnessCampaigns*/ false,
     // The adaptive engine's stop decisions are evaluated at deterministic
@@ -175,55 +170,36 @@ namespace detail {
 std::atomic<bool> g_metrics_enabled{true};
 std::atomic<bool> g_trace_enabled{false};
 thread_local constinit ScopeNode* tl_scope_top = nullptr;
-
-namespace {
-std::atomic<std::uint64_t> g_next_lane{1};
-thread_local constinit std::uint64_t tl_lane = 0;  // 0 = not yet assigned
-}  // namespace
-
-std::uint64_t new_lane() noexcept {
-  return g_next_lane.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t current_lane() noexcept {
-  if (tl_lane == 0) tl_lane = new_lane();
-  return tl_lane;
-}
-
-void set_current_lane(std::uint64_t lane) noexcept { tl_lane = lane; }
-
 }  // namespace detail
 
 namespace {
 
-// Fiber-local slots: the scope stack and the lane follow a fiber across
-// worker threads. The scope-stack nodes live on the fiber's own stack
-// (ScopeGuard / AdoptScopeStack frames), so migrating the head pointer is
-// sufficient; the lane makes the migrated fiber keep writing the same
-// single-writer shards it resolved earlier.
+// A *lane* is the unit of shard ownership: a small process-unique id a
+// thread allocates on first use and keeps forever. Every fiber of a simmpi
+// job runs on its launching thread and so shares that thread's lane.
+std::atomic<std::uint64_t> g_next_lane{1};
+thread_local constinit std::uint64_t tl_lane = 0;  // 0 = not yet assigned
+
+std::uint64_t current_lane() noexcept {
+  if (tl_lane == 0) {
+    tl_lane = g_next_lane.fetch_add(1, std::memory_order_relaxed);
+  }
+  return tl_lane;
+}
+
+// The scope stack is fiber-local: each rank fiber adopts the launcher's
+// stack (AdoptScopeStack in Runtime::run), and any node it pushes lives
+// on the fiber's own stack, so swapping the head pointer on every fiber
+// switch is sufficient. The lane is deliberately *not* fiber-local: rank
+// fibers write their launching thread's shards, which stay single-writer
+// because a job's fibers never leave that thread.
 [[maybe_unused]] const std::size_t g_scope_stack_slot =
     util::FiberTlsRegistry::add({
         []() noexcept -> void* { return detail::tl_scope_top; },
         [](void* v) noexcept {
           detail::tl_scope_top = static_cast<detail::ScopeNode*>(v);
         },
-        nullptr,
     });
-
-[[maybe_unused]] const std::size_t g_lane_slot = util::FiberTlsRegistry::add({
-    []() noexcept -> void* {
-      return reinterpret_cast<void*>(
-          static_cast<std::uintptr_t>(detail::tl_lane));
-    },
-    [](void* v) noexcept {
-      detail::set_current_lane(
-          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(v)));
-    },
-    []() noexcept -> void* {
-      return reinterpret_cast<void*>(
-          static_cast<std::uintptr_t>(detail::new_lane()));
-    },
-});
 
 }  // namespace
 
@@ -257,7 +233,7 @@ MetricsSnapshot MetricScope::snapshot() const {
 }
 
 detail::Shard* MetricScope::shard_for_current_lane() {
-  const std::uint64_t lane = detail::current_lane();
+  const std::uint64_t lane = current_lane();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_lane_.find(lane);
   if (it != by_lane_.end()) return it->second;
@@ -287,37 +263,6 @@ void MetricScope::fold(const MetricsSnapshot& child) noexcept {
                    std::memory_order_relaxed);
       }
     }
-  }
-}
-
-AdoptScopeStack::AdoptScopeStack(ScopeStackHandle handle) {
-  if (handle.head == nullptr || detail::tl_scope_top == handle.head) return;
-  // Walk the captured stack outermost-first so this thread's stack mirrors
-  // the capturing thread's nesting order.
-  std::array<detail::ScopeNode*, kMaxDepth> captured{};
-  std::size_t n = 0;
-  for (detail::ScopeNode* s = handle.head; s != nullptr && n < kMaxDepth;
-       s = s->parent) {
-    captured[n++] = s;
-  }
-  for (std::size_t i = n; i > 0; --i) {
-    detail::ScopeNode& node = nodes_[depth_];
-    // A fresh shard per adopting lane: the captured node's shard is the
-    // capturing context's private bank, and several ranks adopt the same
-    // stack concurrently — sharing it would break single-writer.
-    node.scope = captured[i - 1]->scope;
-    node.shard = node.scope->shard_for_current_lane();
-    node.parent = detail::tl_scope_top;
-    detail::tl_scope_top = &node;
-    ++depth_;
-  }
-  adopted_ = true;
-}
-
-AdoptScopeStack::~AdoptScopeStack() {
-  if (!adopted_) return;
-  for (std::size_t i = 0; i < depth_; ++i) {
-    detail::tl_scope_top = detail::tl_scope_top->parent;
   }
 }
 

@@ -26,7 +26,7 @@
 // study). Scopes form a rollup chain — a campaign scope created with the
 // study scope as parent folds its totals into the parent when it dies —
 // and the *stack* of active scopes is thread-local, propagated across the
-// simmpi job launch onto rank threads via AdoptScopeStack so substrate
+// simmpi job launch onto rank fibers via AdoptScopeStack so substrate
 // counters (mailbox waits, pool reuse) land in the campaign that caused
 // them.
 #pragma once
@@ -56,8 +56,6 @@ enum class Counter : std::uint16_t {
   SimmpiBufferReuses,     ///< envelope payloads recycled from freelists
   SimmpiMailboxWaits,     ///< receives that blocked before a match arrived
   SimmpiFusedCollectives, ///< fused collective combines executed
-  SimmpiTeamCheckouts,    ///< rank-team pool checkouts
-  SimmpiTeamSpawns,       ///< rank teams freshly spawned (pool misses)
   // fsefi — fault injector
   FsefiDispatchFastIdle,  ///< contexts armed/reset into the FastIdle state
   FsefiDispatchFastLive,  ///< contexts armed/reset into the FastLive state
@@ -120,7 +118,7 @@ inline constexpr std::size_t kHistogramBuckets = 64;
 /// (app, configuration, seed) — independent of scheduling, timing, and
 /// worker count. The determinism test suite compares exactly the logical
 /// subset; timing-born counters (mailbox waits, buffer allocs, cache
-/// waits, team spawns) are diagnostics only.
+/// waits) are diagnostics only.
 [[nodiscard]] bool is_logical(Counter c) noexcept;
 
 /// Bucket index a recorded value falls into.
@@ -220,9 +218,6 @@ struct Shard {
 struct ScopeNode {
   Shard* shard = nullptr;
   ScopeNode* parent = nullptr;
-  /// Owning scope, so AdoptScopeStack can resolve a fresh shard for each
-  /// adopting thread (shards are single-writer).
-  MetricScope* scope = nullptr;
 };
 
 // constinit: guarantees constant initialization so cross-TU access does
@@ -230,20 +225,6 @@ struct ScopeNode {
 // potential null reference and which would put a guard check on the
 // metrics hot path).
 extern thread_local constinit ScopeNode* tl_scope_top;
-
-// ---- lanes ----
-// A *lane* is the unit of shard ownership: a small process-unique id for
-// one logical execution context. A plain thread lazily allocates a lane
-// on first use and keeps it forever; a fiber gets a fresh lane at
-// creation, carried across worker threads by the scheduler's TLS
-// migration (the lane and the scope stack are registered fiber-local
-// slots). Keying shards by lane instead of std::thread::id is what keeps
-// the single-writer shard invariant valid when a fiber suspends on one
-// worker and resumes on another: the shard follows the lane, the lane
-// follows the fiber, and the scheduler mutex orders the handoff.
-[[nodiscard]] std::uint64_t current_lane() noexcept;
-void set_current_lane(std::uint64_t lane) noexcept;
-[[nodiscard]] std::uint64_t new_lane() noexcept;
 
 }  // namespace detail
 
@@ -263,8 +244,7 @@ class MetricScope {
   /// executor/job joins) for exact totals.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// The calling lane's shard in this scope (created on first use). A
-  /// lane is a thread — or a fiber, wherever it currently runs.
+  /// The calling thread's shard in this scope, created on first use.
   [[nodiscard]] detail::Shard* shard_for_current_lane();
 
   /// Fold an externally produced snapshot — a shard worker process's
@@ -288,7 +268,6 @@ class ScopeGuard {
   explicit ScopeGuard(MetricScope* scope) {
     if (scope == nullptr) return;
     node_.shard = scope->shard_for_current_lane();
-    node_.scope = scope;
     node_.parent = detail::tl_scope_top;
     // Storing a stack address in a thread-local is the point of the RAII
     // guard: the destructor pops it before the node dies.
@@ -314,9 +293,9 @@ class ScopeGuard {
 };
 
 /// The scope stack of the calling thread, as an opaque handle a job
-/// launcher can capture and re-establish on worker/rank threads. The
-/// nodes live on the capturing thread's stack: valid only while that
-/// thread blocks on the job.
+/// launcher can capture and re-establish on its rank fibers. The nodes
+/// live on the capturing thread's stack: valid only while that thread
+/// runs the job.
 struct ScopeStackHandle {
   detail::ScopeNode* head = nullptr;
 };
@@ -324,22 +303,23 @@ struct ScopeStackHandle {
   return {detail::tl_scope_top};
 }
 
-/// Re-establish a captured scope stack on this thread (rank threads of a
-/// simmpi job). Shards are resolved per-thread, so adopted counts stay
-/// lock-free. No-op when the captured stack is already active (the
-/// single-rank inline path runs on the capturing thread itself).
+/// Re-establish a captured scope stack for the rest of this scope (a
+/// rank fiber of a simmpi job starts with an empty one). Use it only on
+/// the capturing thread: the captured nodes point at that thread's
+/// shards, which stay single-writer because the capturing thread's
+/// fibers never run concurrently.
 class AdoptScopeStack {
  public:
-  explicit AdoptScopeStack(ScopeStackHandle handle);
-  ~AdoptScopeStack();
+  explicit AdoptScopeStack(ScopeStackHandle handle) noexcept
+      : saved_(detail::tl_scope_top) {
+    detail::tl_scope_top = handle.head;
+  }
+  ~AdoptScopeStack() { detail::tl_scope_top = saved_; }
   AdoptScopeStack(const AdoptScopeStack&) = delete;
   AdoptScopeStack& operator=(const AdoptScopeStack&) = delete;
 
  private:
-  static constexpr std::size_t kMaxDepth = 8;
-  std::array<detail::ScopeNode, kMaxDepth> nodes_{};
-  std::size_t depth_ = 0;
-  bool adopted_ = false;
+  detail::ScopeNode* saved_;
 };
 
 // ---- recording -------------------------------------------------------------

@@ -87,24 +87,6 @@ RuntimeOptions RuntimeOptions::from_env() {
   RuntimeOptions options;
   options.threads = static_cast<int>(
       env_int("RESILIENCE_THREADS", 0, /*min_value=*/0));
-  options.team_pool = env_flag("RESILIENCE_TEAM_POOL", options.team_pool);
-  {
-    const std::string mode = env_str("RESILIENCE_SCHEDULER", "");
-    if (mode == "fibers") {
-      options.scheduler_fibers = true;
-    } else if (mode == "threads") {
-      options.scheduler_fibers = false;
-    } else if (!mode.empty()) {
-      std::fprintf(stderr,
-                   "warning: RESILIENCE_SCHEDULER: ignoring invalid value "
-                   "\"%s\" (expected \"fibers\" or \"threads\"), using "
-                   "default %s\n",
-                   mode.c_str(),
-                   options.scheduler_fibers ? "fibers" : "threads");
-    }
-  }
-  options.sched_workers = static_cast<int>(
-      env_int("RESILIENCE_SCHED_WORKERS", 0, /*min_value=*/0));
   options.fiber_stack_kb = static_cast<std::size_t>(
       env_int("RESILIENCE_FIBER_STACK_KB",
               static_cast<std::int64_t>(options.fiber_stack_kb),

@@ -2,8 +2,7 @@
 // place.
 //
 // The substrate layers used to read their own env vars at first use
-// (comm.cpp, rank_team.cpp, fault_context.cpp, checkpoint.cpp,
-// executor.cpp), which made the configuration surface hard to document
+// (comm.cpp, fault_context.cpp, checkpoint.cpp, executor.cpp), which made the configuration surface hard to document
 // and impossible to inject under test. RuntimeOptions::from_env() is now
 // the only code path that touches the process environment (the repo-wide
 // invariant is: no getenv/env_int call sites outside util/options.cpp),
@@ -28,15 +27,6 @@ struct RuntimeOptions {
   /// RESILIENCE_THREADS — campaign executor worker count; 0 = auto
   /// (hardware concurrency).
   int threads = 0;
-  /// RESILIENCE_TEAM_POOL — reuse persistent rank teams across trials.
-  bool team_pool = true;
-  /// RESILIENCE_SCHEDULER — "fibers" (default) multiplexes simulated
-  /// ranks as cooperative fibers over a small worker pool; "threads"
-  /// spawns one OS thread per rank (the legacy execution core).
-  bool scheduler_fibers = true;
-  /// RESILIENCE_SCHED_WORKERS — fiber-scheduler worker threads per job;
-  /// 0 = auto (min(hardware concurrency, nranks)).
-  int sched_workers = 0;
   /// RESILIENCE_FIBER_STACK_KB — per-rank fiber stack size in KiB
   /// (rounded up to whole pages, plus a guard page).
   std::size_t fiber_stack_kb = 256;
@@ -119,7 +109,7 @@ struct RuntimeOptions {
   static const RuntimeOptions& global();
 
   /// Replace the process-wide options (tests). Layers that latch their
-  /// knob in a function-local static (comm, rank_team, fault_context)
+  /// knob in a function-local static (simmpi runtime, fault_context)
   /// only see values injected before their first use; the documented
   /// test hook for those is their set_*_enabled() override.
   static void set_global(const RuntimeOptions& options);

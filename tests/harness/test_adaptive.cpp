@@ -8,7 +8,6 @@
 #include "harness/campaign.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/runner.hpp"
-#include "simmpi/runtime.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/stats.hpp"
 
@@ -78,17 +77,6 @@ TEST(Adaptive, StoppingPointIsWorkerCountInvariant) {
   // Deterministic batch boundaries make the whole snapshot logically
   // equal, trials-saved counters included.
   EXPECT_TRUE(serial.metrics.logical_equal(parallel.metrics));
-}
-
-TEST(Adaptive, StoppingPointIsSchedulerModeInvariant) {
-  const auto app = apps::make_app(apps::AppId::LU);
-  const DeploymentConfig cfg = adaptive_config(2, 96);
-  simmpi::detail::set_scheduler_fibers_enabled(true);
-  const auto fibers = CampaignRunner::run(*app, cfg);
-  simmpi::detail::set_scheduler_fibers_enabled(false);
-  const auto threads = CampaignRunner::run(*app, cfg);
-  simmpi::detail::reset_scheduler_fibers_enabled();
-  expect_same_outcomes(fibers, threads);
 }
 
 TEST(Adaptive, StoppingPointIsCheckpointInvariant) {

@@ -12,25 +12,22 @@
 namespace resilience::harness {
 namespace {
 
-std::vector<Executor::Task> weighted_tasks(int count, int weight,
+std::vector<Executor::Task> repeated_tasks(int count,
                                            const std::function<void()>& fn) {
-  std::vector<Executor::Task> tasks;
-  tasks.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) tasks.push_back({weight, fn});
-  return tasks;
+  return std::vector<Executor::Task>(static_cast<std::size_t>(count), fn);
 }
 
 TEST(Executor, RunsEveryTask) {
   Executor ex(4);
   std::atomic<int> count{0};
-  ex.run(weighted_tasks(100, 1, [&] { ++count; }));
+  ex.run(repeated_tasks(100, [&] { ++count; }));
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(Executor, FewerTasksThanWorkers) {
   Executor ex(8);
   std::atomic<int> count{0};
-  ex.run(weighted_tasks(3, 1, [&] { ++count; }));
+  ex.run(repeated_tasks(3, [&] { ++count; }));
   EXPECT_EQ(count.load(), 3);
 }
 
@@ -41,48 +38,28 @@ TEST(Executor, SingleWorkerRunsInlineOnCaller) {
   std::vector<std::thread::id> ran;
   std::vector<Executor::Task> tasks;
   for (int i = 0; i < 4; ++i) {
-    tasks.push_back({1, [&] { ran.push_back(std::this_thread::get_id()); }});
+    tasks.push_back([&] { ran.push_back(std::this_thread::get_id()); });
   }
   ex.run(std::move(tasks));
   ASSERT_EQ(ran.size(), 4u);
   for (const auto id : ran) EXPECT_EQ(id, caller);
 }
 
-TEST(Executor, WeightAdmissionNeverExceedsBudget) {
-  constexpr int kBudget = 4;
-  constexpr int kWeight = 3;
-  Executor ex(kBudget);
+TEST(Executor, InFlightTasksNeverExceedWorkers) {
+  constexpr int kWorkers = 4;
+  Executor ex(kWorkers);
   std::atomic<int> in_flight{0};
   std::atomic<int> peak{0};
-  ex.run(weighted_tasks(24, kWeight, [&] {
-    const int now = in_flight.fetch_add(kWeight) + kWeight;
+  ex.run(repeated_tasks(24, [&] {
+    const int now = in_flight.fetch_add(1) + 1;
     int prev = peak.load();
     while (now > prev && !peak.compare_exchange_weak(prev, now)) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    in_flight.fetch_sub(kWeight);
+    in_flight.fetch_sub(1);
   }));
-  EXPECT_LE(peak.load(), kBudget);
-  EXPECT_GE(peak.load(), kWeight);  // something actually ran
-}
-
-TEST(Executor, OversizedWeightIsClampedAndRuns) {
-  Executor ex(2);
-  std::atomic<int> count{0};
-  // Weight 64 on a budget of 2 must still execute (clamped, serialized).
-  ex.run(weighted_tasks(5, 64, [&] { ++count; }));
-  EXPECT_EQ(count.load(), 5);
-}
-
-TEST(Executor, MixedWeightsAllComplete) {
-  Executor ex(4);
-  std::atomic<int> sum{0};
-  std::vector<Executor::Task> tasks;
-  for (int i = 0; i < 40; ++i) {
-    tasks.push_back({1 + i % 5, [&, i] { sum += i; }});
-  }
-  ex.run(std::move(tasks));
-  EXPECT_EQ(sum.load(), 39 * 40 / 2);
+  EXPECT_LE(peak.load(), kWorkers);
+  EXPECT_GE(peak.load(), 1);  // something actually ran
 }
 
 TEST(Executor, RethrowsLowestIndexException) {
@@ -90,12 +67,12 @@ TEST(Executor, RethrowsLowestIndexException) {
   std::atomic<int> completed{0};
   std::vector<Executor::Task> tasks;
   for (int i = 0; i < 16; ++i) {
-    tasks.push_back({1, [&, i] {
-                       if (i == 3 || i == 11) {
-                         throw std::runtime_error("task " + std::to_string(i));
-                       }
-                       ++completed;
-                     }});
+    tasks.push_back([&, i] {
+      if (i == 3 || i == 11) {
+        throw std::runtime_error("task " + std::to_string(i));
+      }
+      ++completed;
+    });
   }
   try {
     ex.run(std::move(tasks));
@@ -112,8 +89,8 @@ TEST(Executor, NestedRunFromWorkerExecutesInline) {
   std::atomic<int> inner{0};
   // Both outer tasks occupy the whole pool, then submit nested batches;
   // without the inline fallback this deadlocks.
-  ex.run(weighted_tasks(2, 1, [&] {
-    ex.run(weighted_tasks(8, 1, [&] { ++inner; }));
+  ex.run(repeated_tasks(2, [&] {
+    ex.run(repeated_tasks(8, [&] { ++inner; }));
   }));
   EXPECT_EQ(inner.load(), 16);
 }
@@ -124,7 +101,7 @@ TEST(Executor, ConcurrentBatchesShareThePool) {
   std::vector<std::thread> callers;
   for (int c = 0; c < 3; ++c) {
     callers.emplace_back(
-        [&] { ex.run(weighted_tasks(20, 2, [&] { ++count; })); });
+        [&] { ex.run(repeated_tasks(20, [&] { ++count; })); });
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(count.load(), 60);

@@ -52,8 +52,7 @@ TEST(GoldenCache, ProfilesThroughExecutorWhenGiven) {
   const auto app = apps::make_app(apps::AppId::LU);
   Executor ex(2);
   GoldenCache cache;
-  const auto golden = cache.get_or_profile(
-      *app, 2, std::chrono::milliseconds{10'000}, &ex);
+  const auto golden = cache.get_or_profile(*app, 2, &ex);
   EXPECT_EQ(golden->signature, profile_app(*app, 2).signature);
   EXPECT_EQ(cache.misses(), 1u);
 }

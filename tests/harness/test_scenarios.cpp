@@ -1,6 +1,6 @@
 // The FaultScenario catalog end to end (DESIGN.md §16): catalog lookup,
 // TrialSpace validation of unsupported combinations, per-family campaign
-// determinism across worker counts / scheduler cores / the checkpoint
+// determinism across worker counts / collective fusion / the checkpoint
 // kill switch, the fail-stop Crash outcome, the Poisson fast-forward
 // refusal rule, and backward compatibility of pre-scenario saved
 // campaign files (load + re-save byte-identical, rerun bit-identical).
@@ -149,7 +149,7 @@ std::string fingerprint(CampaignResult result) {
 struct ModeRestore {
   ~ModeRestore() {
     harness::set_checkpoint_enabled(true);
-    simmpi::detail::reset_scheduler_fibers_enabled();
+    simmpi::detail::set_fused_collectives_enabled(true);
   }
 };
 
@@ -175,19 +175,19 @@ TEST(ScenarioCampaigns, EveryFamilyBitIdenticalAcrossExecutionModes) {
         << entry.name << " differs with checkpointing disabled";
     harness::set_checkpoint_enabled(true);
 
-    simmpi::detail::set_scheduler_fibers_enabled(false);
+    simmpi::detail::set_fused_collectives_enabled(false);
     EXPECT_EQ(fingerprint(CampaignRunner::run(*app, cfg)), serial)
-        << entry.name << " differs on the thread-per-rank core";
-    simmpi::detail::reset_scheduler_fibers_enabled();
+        << entry.name << " differs with mailbox collectives";
+    simmpi::detail::set_fused_collectives_enabled(true);
   }
 }
 
 // Regression: a payload flip landing mid-tree in a bcast must contaminate
-// the receiving rank's whole subtree on both execution cores. The fused
-// combiner used to copy every child from the root's buffer, silently
-// localizing the corruption the mailbox walk forwards — campaigns then
-// disagreed between cores. Four ranks give the bcast tree a grandchild.
-TEST(ScenarioCampaigns, PayloadCampaignAgreesAcrossCoresAtDepthTwo) {
+// the receiving rank's whole subtree, fused or not. The fused combiner
+// used to copy every child from the root's buffer, silently localizing
+// the corruption the mailbox walk forwards — campaigns then disagreed
+// with the mailbox reference. Four ranks give the bcast tree a grandchild.
+TEST(ScenarioCampaigns, PayloadCampaignAgreesFusedVsMailboxAtDepthTwo) {
   ModeRestore restore;
   const auto app = apps::make_app(apps::AppId::CG);
   DeploymentConfig cfg;
@@ -195,11 +195,10 @@ TEST(ScenarioCampaigns, PayloadCampaignAgreesAcrossCoresAtDepthTwo) {
   cfg.trials = 30;
   cfg.scenario = fsefi::scenario_by_name("payload");
 
-  simmpi::detail::set_scheduler_fibers_enabled(true);
-  const std::string fibers = fingerprint(CampaignRunner::run(*app, cfg));
-  simmpi::detail::set_scheduler_fibers_enabled(false);
-  const std::string threads = fingerprint(CampaignRunner::run(*app, cfg));
-  EXPECT_EQ(fibers, threads);
+  const std::string fused = fingerprint(CampaignRunner::run(*app, cfg));
+  simmpi::detail::set_fused_collectives_enabled(false);
+  const std::string mailbox = fingerprint(CampaignRunner::run(*app, cfg));
+  EXPECT_EQ(fused, mailbox);
 }
 
 TEST(ScenarioCampaigns, MechanismCountersFirePerFamily) {

@@ -1,12 +1,11 @@
 // Scheduling-independence stress tests: campaign results must be a pure
-// function of (app, config) regardless of how the OS interleaves the rank
-// threads. This is what makes every number in EXPERIMENTS.md exactly
+// function of (app, config) regardless of how many jobs run at once and
+// on which threads. This is what makes every number in EXPERIMENTS.md exactly
 // reproducible, and what the profiling pre-pass's dynamic-op indices rely
 // on.
 #include <gtest/gtest.h>
 
 #include "harness/campaign.hpp"
-#include "simmpi/rank_team.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace resilience {
@@ -124,59 +123,24 @@ TEST(Determinism, ParallelCampaignBitIdenticalToSerial) {
   }
 }
 
-// The execution-core determinism contract: a campaign is a pure function
-// of (app, config) no matter which scheduler runs it — fibers with fused
-// collectives (the default), fibers decomposing collectives into mailbox
-// messages, or the threads reference core on pooled teams or fresh
-// threads — and no matter how many campaign workers or scheduler workers
-// drive it. The fused/fibers legs guard the production configuration.
-TEST(Determinism, SchedulerModeCampaignBitIdenticalAcrossCores) {
+// Fused collectives are an optimisation of the mailbox decomposition,
+// not a different semantics: a campaign run with collectives forced onto
+// mailbox messages must classify every trial identically.
+TEST(Determinism, FusedCollectivesCampaignMatchesMailboxCampaign) {
   const auto app = apps::make_app(apps::AppId::CG);
   DeploymentConfig cfg;
   cfg.nranks = 8;
   cfg.trials = 30;
   cfg.seed = 20180813;
-
-  struct Leg {
-    const char* name;
-    bool fibers;
-    bool fused;
-    bool team_pool;
-    int sched_workers;        // fibers mode only; 0 = auto
-    std::size_t max_workers;  // campaign executor width
-  };
-  const Leg legs[] = {
-      {"threads/fresh", false, true, false, 0, 1},
-      {"threads/pooled", false, true, true, 0, 8},
-      {"fibers/fused/1w", true, true, true, 1, 1},
-      {"fibers/fused/4w", true, true, true, 4, 8},
-      {"fibers/fused/4w repeat", true, true, true, 4, 8},
-      {"fibers/mailbox", true, false, true, 2, 8},
-  };
-  harness::CampaignResult baseline;
-  bool have_baseline = false;
-  for (const Leg& leg : legs) {
-    simmpi::detail::set_scheduler_fibers_enabled(leg.fibers);
-    simmpi::detail::set_fused_collectives_enabled(leg.fused);
-    simmpi::detail::set_scheduler_workers(leg.sched_workers);
-    simmpi::RankTeamPool::set_enabled(leg.team_pool);
-    cfg.max_workers = leg.max_workers;
-    const auto got = CampaignRunner::run(*app, cfg);
-    if (!have_baseline) {
-      baseline = got;
-      have_baseline = true;
-      continue;
-    }
-    EXPECT_EQ(got.overall.success, baseline.overall.success) << leg.name;
-    EXPECT_EQ(got.overall.sdc, baseline.overall.sdc) << leg.name;
-    EXPECT_EQ(got.overall.failure, baseline.overall.failure) << leg.name;
-    EXPECT_EQ(got.contamination_hist, baseline.contamination_hist) << leg.name;
-    EXPECT_EQ(got.golden.signature, baseline.golden.signature) << leg.name;
-  }
-  simmpi::detail::reset_scheduler_fibers_enabled();
+  const auto fused = CampaignRunner::run(*app, cfg);
+  simmpi::detail::set_fused_collectives_enabled(false);
+  const auto mailbox = CampaignRunner::run(*app, cfg);
   simmpi::detail::set_fused_collectives_enabled(true);
-  simmpi::detail::set_scheduler_workers(-1);
-  simmpi::RankTeamPool::set_enabled(true);
+  EXPECT_EQ(mailbox.overall.success, fused.overall.success);
+  EXPECT_EQ(mailbox.overall.sdc, fused.overall.sdc);
+  EXPECT_EQ(mailbox.overall.failure, fused.overall.failure);
+  EXPECT_EQ(mailbox.contamination_hist, fused.contamination_hist);
+  EXPECT_EQ(mailbox.golden.signature, fused.golden.signature);
 }
 
 TEST(Determinism, ParallelCampaignWithFewerTrialsThanWorkers) {

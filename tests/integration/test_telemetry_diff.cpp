@@ -113,35 +113,31 @@ TEST(TelemetryDiff, SameSeedTwiceReportsIdenticalLogicalCounters) {
   }
 }
 
-TEST(TelemetryDiff, FiberMigrationRollsUpEveryCountExactlyOnce) {
-  // Under the fiber scheduler a rank's telemetry lane migrates across
-  // worker threads whenever its fiber is resumed elsewhere. The campaign
-  // rollup must still fold every shard exactly once: the logical view of
-  // a multi-worker fibers campaign equals the threads-core view bit for
-  // bit, and the absolute harness counters match the trial count (a
-  // double-fold or dropped shard would show up here, not just as an
-  // inequality between legs).
+TEST(TelemetryDiff, ConcurrentJobsRollUpEveryCountExactlyOnce) {
+  // Rank fibers write their executor thread's shard in the campaign
+  // scope, with four jobs in flight at once. The rollup must still fold
+  // every shard exactly once: the logical view of the parallel campaign
+  // equals the serial one bit for bit, and the absolute harness counters
+  // match the trial count (a double-fold or dropped shard would show up
+  // here, not just as an inequality between legs).
   const auto app = apps::make_app(apps::AppId::MG);
   DeploymentConfig cfg;
   cfg.nranks = 4;
   cfg.trials = 15;
   cfg.seed = 20180813;
 
-  simmpi::detail::set_scheduler_fibers_enabled(true);
-  simmpi::detail::set_scheduler_workers(4);  // force cross-worker migration
-  const auto fibers = CampaignRunner::run(*app, cfg);
-  simmpi::detail::set_scheduler_fibers_enabled(false);
-  simmpi::detail::set_scheduler_workers(-1);
-  const auto threads = CampaignRunner::run(*app, cfg);
-  simmpi::detail::reset_scheduler_fibers_enabled();
+  cfg.max_workers = 4;
+  const auto parallel = CampaignRunner::run(*app, cfg);
+  cfg.max_workers = 1;
+  const auto serial = CampaignRunner::run(*app, cfg);
 
-  expect_same_campaign(fibers, threads, "fibers@4workers vs threads");
-  EXPECT_TRUE(fibers.metrics.logical_equal(threads.metrics));
-  EXPECT_EQ(fibers.metrics.value(Counter::HarnessTrials), cfg.trials);
-  EXPECT_EQ(fibers.metrics.value(Counter::HarnessCampaigns), 1u);
-  EXPECT_EQ(fibers.metrics.value(Counter::HarnessGoldenProfiles), 1u);
+  expect_same_campaign(parallel, serial, "4 workers vs serial");
+  EXPECT_TRUE(parallel.metrics.logical_equal(serial.metrics));
+  EXPECT_EQ(parallel.metrics.value(Counter::HarnessTrials), cfg.trials);
+  EXPECT_EQ(parallel.metrics.value(Counter::HarnessCampaigns), 1u);
+  EXPECT_EQ(parallel.metrics.value(Counter::HarnessGoldenProfiles), 1u);
   EXPECT_EQ(
-      fibers.metrics.histogram(telemetry::Histogram::HarnessContaminatedRanks)
+      parallel.metrics.histogram(telemetry::Histogram::HarnessContaminatedRanks)
           .total(),
       cfg.trials);
 }

@@ -1,7 +1,7 @@
 // Sharded campaign execution (DESIGN.md §13): wire protocol round trips,
 // coordinator/worker end-to-end determinism against the in-process
-// runner, worker-crash recovery, golden-store reuse, and the StudyService
-// request dispatcher.
+// runner and against pinned saved-campaign fixtures, worker-crash
+// recovery, golden-store reuse, and the StudyService request dispatcher.
 //
 // This binary has a custom main: the coordinator re-execs the test binary
 // itself as its worker processes (--shard-worker=<fd>), so main must
@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -20,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
+#include "fsefi/scenario.hpp"
 #include "harness/campaign.hpp"
 #include "harness/campaign_engine.hpp"
 #include "harness/serialize.hpp"
@@ -30,6 +33,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -432,6 +436,88 @@ TEST(ShardCampaign, WireFormatDriftIsRejectedByTheHandshake) {
     EXPECT_NE(what.find("wire format mismatch"), std::string::npos) << what;
   }
   ASSERT_EQ(::unsetenv("RESILIENCE_WIRE"), 0);
+}
+
+// Pinned fixtures: one saved campaign per valid (app, catalog scenario)
+// pair at 8 ranks, 16 trials, default seed, written by the release that
+// still had the multi-worker and thread-per-rank cores, running each job
+// on one scheduler worker (the schedule the single-threaded core
+// reproduces) with wall_seconds zeroed. Rerunning every fixture's config
+// in-process and on 4 shards must reproduce its bytes exactly.
+TEST(PinnedFixtures, EveryAppScenarioPairReproducesInProcessAndSharded) {
+  const std::filesystem::path dir = RESILIENCE_CAMPAIGN_FIXTURE_DIR;
+  shard::ShardOptions opts;
+  opts.shards = 4;
+  std::size_t checked = 0;
+  for (const apps::AppId id : apps::all_app_ids()) {
+    const auto app = apps::make_app(id);
+    const std::string label = app->label();
+    const std::string stem = label.substr(0, label.find(' '));
+    const harness::GoldenRun golden = harness::profile_app(*app, 8);
+    for (const auto& entry : fsefi::scenario_catalog()) {
+      const auto path = dir / (stem + "-" + entry.name + ".json");
+      harness::DeploymentConfig dep;
+      dep.nranks = 8;
+      dep.trials = 16;
+      dep.scenario = entry.scenario;
+      if (!std::filesystem::exists(path)) {
+        // Only pairs the deployment validator rejects may lack a fixture.
+        EXPECT_ANY_THROW(harness::TrialSpace(*app, dep, golden))
+            << path << " is missing";
+        continue;
+      }
+      std::ifstream in(path);
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      const std::string expected = buffer.str();
+      const harness::CampaignResult pinned =
+          harness::campaign_from_json(util::Json::parse(expected));
+      EXPECT_EQ(harness::to_json(pinned).dump(2) + "\n", expected) << path;
+      EXPECT_EQ(pinned.config.scenario, dep.scenario) << path;
+      EXPECT_EQ(pinned.config.nranks, dep.nranks) << path;
+      EXPECT_EQ(pinned.config.trials, dep.trials) << path;
+
+      harness::CampaignResult in_process =
+          harness::CampaignRunner::run(*app, pinned.config);
+      in_process.wall_seconds = 0.0;
+      EXPECT_EQ(harness::to_json(in_process).dump(2) + "\n", expected)
+          << path << " in-process";
+      harness::CampaignResult sharded =
+          shard::run_sharded_campaign(*app, pinned.config, opts);
+      sharded.wall_seconds = 0.0;
+      EXPECT_EQ(harness::to_json(sharded).dump(2) + "\n", expected)
+          << path << " on 4 shards";
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 35u);
+}
+
+// Regression: how many ranks a Failure trial contaminated before teardown
+// used to depend on how scheduler workers interleaved rank fibers, so a
+// sharded adaptive campaign's saved JSON (contamination profile and the
+// post-stratified r_x built on it) differed from the in-process one.
+// PENNANT under payload flips, the benchmark's adaptive-sharded
+// configuration at seed 1, showed it in most runs.
+TEST(ShardCampaign, PennantPayloadAdaptiveShardedMatchesInProcess) {
+  const auto app = apps::make_app(apps::AppId::PENNANT);
+  harness::DeploymentConfig dep;
+  dep.nranks = 8;
+  dep.scenario = fsefi::scenario_by_name("payload");
+  dep.trials = 4000;
+  dep.seed = util::derive_seed(1, /*app index=*/1, /*scenario index=*/1);
+  dep.adaptive.enabled = true;
+  dep.adaptive.ci_half_width = 0.02;
+
+  const auto baseline = harness::CampaignRunner::run(*app, dep);
+  shard::ShardOptions opts;
+  opts.shards = 4;
+  const auto sharded = shard::run_sharded_campaign(*app, dep, opts);
+
+  ASSERT_TRUE(baseline.adaptive.has_value());
+  EXPECT_GT(baseline.overall.failure, 0u);  // the schedule-sensitive trials
+  EXPECT_EQ(normalized_dump(sharded), normalized_dump(baseline));
+  EXPECT_TRUE(sharded.metrics.logical_equal(baseline.metrics));
 }
 
 TEST(StudyService, CachesDeterministicCampaigns) {

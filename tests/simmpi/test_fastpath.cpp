@@ -1,8 +1,7 @@
-// Failure-delivery and equivalence tests for the fused fiber-mode
-// collectives and the envelope pool.
+// Failure-delivery and equivalence tests for the fused collectives and
+// the envelope pool.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "simmpi/collective.hpp"
@@ -11,35 +10,20 @@
 namespace resilience::simmpi {
 namespace {
 
-using std::chrono::milliseconds;
-using std::chrono::steady_clock;
-
-/// Forces one scheduler configuration for the enclosing scope and drops
-/// every override on destruction (back to env/default resolution).
-struct SchedulerGuard {
-  explicit SchedulerGuard(bool fibers, int workers = -1) {
-    detail::set_scheduler_fibers_enabled(fibers);
-    if (workers >= 0) detail::set_scheduler_workers(workers);
-  }
-  ~SchedulerGuard() {
-    detail::reset_scheduler_fibers_enabled();
-    detail::set_scheduler_workers(-1);
-    detail::set_fused_collectives_enabled(true);
-  }
+/// Restores fused collectives (the default) on scope exit.
+struct FusionGuard {
+  ~FusionGuard() { detail::set_fused_collectives_enabled(true); }
 };
 
-/// Run `body` on the fiber scheduler with fused collectives on.
+/// Run `body` with fused collectives on.
 RunResult run_fused(int nranks, const std::function<void(Comm&)>& body) {
-  SchedulerGuard guard(/*fibers=*/true);
   detail::set_fused_collectives_enabled(true);
   return Runtime::run(nranks, body);
 }
 
 TEST(FusedCollectives, AbortMidAllreduceWakesParkedPeers) {
   // A rank that throws while its peers are parked at the fused meeting
-  // point must wake them promptly — abort teardown unparks every fiber,
-  // so no timeout is involved at all.
-  const auto start = steady_clock::now();
+  // point must wake them: abort teardown unparks every fiber.
   const auto result = run_fused(4, [](Comm& comm) {
     if (comm.rank() == 2) throw std::runtime_error("injected failure");
     double v = 1.0;
@@ -47,38 +31,31 @@ TEST(FusedCollectives, AbortMidAllreduceWakesParkedPeers) {
     comm.allreduce(std::span<const double>(&v, 1),
                    std::span<double>(&out, 1));
   });
-  const auto elapsed = steady_clock::now() - start;
   EXPECT_TRUE(result.aborted);
   EXPECT_FALSE(result.deadlocked);
   EXPECT_EQ(result.failed_rank, 2);
   EXPECT_EQ(result.error, "injected failure");
-  EXPECT_LT(elapsed, milliseconds(2500));  // peers woke, not timed out
 }
 
 TEST(FusedCollectives, AbortMidBarrierWakesParkedPeers) {
-  const auto start = steady_clock::now();
   const auto result = run_fused(8, [](Comm& comm) {
     if (comm.rank() == 7) throw std::runtime_error("boom");
     comm.barrier();
   });
   EXPECT_TRUE(result.aborted);
+  EXPECT_FALSE(result.deadlocked);
   EXPECT_EQ(result.failed_rank, 7);
-  EXPECT_LT(steady_clock::now() - start, milliseconds(2500));
 }
 
 TEST(FusedCollectives, MissingRankDeadlocksDeterministically) {
   // One rank never joins the collective. The fiber scheduler declares the
-  // deadlock the moment no fiber is runnable — deterministically, without
-  // consuming the threads-mode timeout.
-  const auto start = steady_clock::now();
+  // deadlock the moment no fiber is runnable — deterministically, with no
+  // timeout involved.
   const auto result = run_fused(2, [](Comm& comm) {
     if (comm.rank() == 0) comm.barrier();  // rank 1 never arrives
   });
   EXPECT_TRUE(result.deadlocked);
   EXPECT_EQ(result.failed_rank, 0);
-  // Far below the 10 s default deadlock_timeout: detection was
-  // event-driven, not timer-driven.
-  EXPECT_LT(steady_clock::now() - start, milliseconds(2500));
 }
 
 TEST(FusedCollectives, CollectiveSizeMismatchAbortsJob) {
@@ -98,10 +75,11 @@ TEST(FusedCollectives, CollectiveSizeMismatchAbortsJob) {
       << result.error;
 }
 
-TEST(FusedCollectives, ResultsAndStatsMatchMailboxAndThreadPaths) {
-  // Differential run of a mixed collective sequence: the fused fiber
-  // path, the mailbox fiber path and the threads path must all produce
-  // bit-identical values and identical logical transport stats.
+TEST(FusedCollectives, ResultsAndStatsMatchMailboxPath) {
+  // Differential run of a mixed collective sequence: the fused path and
+  // the mailbox decomposition — the in-tree reference for fused
+  // collectives — must produce bit-identical values and identical
+  // logical transport stats.
   const auto body = [](std::vector<double>* out) {
     return [out](Comm& comm) {
       std::vector<double> v(4, 0.25 * (comm.rank() + 1));
@@ -120,7 +98,7 @@ TEST(FusedCollectives, ResultsAndStatsMatchMailboxAndThreadPaths) {
     };
   };
 
-  SchedulerGuard guard(/*fibers=*/true);
+  FusionGuard guard;
   detail::set_fused_collectives_enabled(true);
   std::vector<double> fused_out;
   const auto fused = Runtime::run(6, body(&fused_out));
@@ -128,22 +106,12 @@ TEST(FusedCollectives, ResultsAndStatsMatchMailboxAndThreadPaths) {
   detail::set_fused_collectives_enabled(false);
   std::vector<double> mailbox_out;
   const auto mailbox = Runtime::run(6, body(&mailbox_out));
-  detail::set_fused_collectives_enabled(true);
-
-  detail::set_scheduler_fibers_enabled(false);
-  std::vector<double> threads_out;
-  const auto threads = Runtime::run(6, body(&threads_out));
-  detail::set_scheduler_fibers_enabled(true);
 
   EXPECT_TRUE(fused.ok);
   EXPECT_TRUE(mailbox.ok);
-  EXPECT_TRUE(threads.ok);
   EXPECT_EQ(fused_out, mailbox_out);  // bit-identical values
-  EXPECT_EQ(fused_out, threads_out);
   EXPECT_EQ(fused.messages_sent, mailbox.messages_sent);
-  EXPECT_EQ(fused.messages_sent, threads.messages_sent);
   EXPECT_EQ(fused.bytes_sent, mailbox.bytes_sent);
-  EXPECT_EQ(fused.bytes_sent, threads.bytes_sent);
 }
 
 TEST(FusedCollectives, SplitCommunicatorsUseDistinctFusedGroups) {
@@ -165,7 +133,6 @@ TEST(FusedGroupUnit, DivergedEpochIsReportedNotCollected) {
   detail::FusedGroup group;
   std::byte payload{};
   detail::Arrival arrival{&payload, &payload, 1, nullptr};
-  std::unique_lock lock(group.mutex());
   EXPECT_EQ(group.arrive(0, 7, arrival, 3),
             detail::FusedGroup::ArriveOutcome::Waiter);
   EXPECT_EQ(group.arrive(1, 8, arrival, 3),
@@ -208,12 +175,9 @@ TEST(EnvelopePool, ReusesBuffersAfterAbortedJob) {
       for (int i = 0; i < 8; ++i) comm.send_value(1, 0, i);
       throw std::runtime_error("die with traffic in flight");
     }
-    // Depending on scheduling the receiver sees either queued values
-    // followed by the abort, or AbortError straight out of the first
-    // blocking receive; both teardowns are legal.
-    comm.recv_value<int>(0, 0);
-    comm.recv_value<int>(0, 0);
-    EXPECT_THROW(comm.recv_value<int>(0, 1), AbortError);
+    // Rank 0 runs first and aborts before rank 1 ever receives, so the
+    // queued traffic is never consumed: AbortError straight away.
+    EXPECT_THROW(comm.recv_value<int>(0, 0), AbortError);
     throw AbortError();
   });
   EXPECT_TRUE(aborted.aborted);

@@ -1,9 +1,10 @@
-// Direct unit tests of the mailbox transport primitive.
+// Unit tests of the mailbox transport primitive: matching directly on a
+// Mailbox, blocking behaviour through fiber jobs.
 #include "simmpi/mailbox.hpp"
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include "simmpi/runtime.hpp"
 
 namespace resilience::simmpi {
 namespace {
@@ -18,7 +19,7 @@ Envelope make_envelope(int source, int tag, std::size_t bytes = 8) {
 
 TEST(Mailbox, PopMatchesSourceAndTag) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(1, 10));
   box.push(make_envelope(2, 20));
   const Envelope got = box.pop_matching(2, 20);
@@ -29,14 +30,14 @@ TEST(Mailbox, PopMatchesSourceAndTag) {
 
 TEST(Mailbox, WildcardsMatchAnything) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(3, 30));
   EXPECT_EQ(box.pop_matching(kAnySource, kAnyTag).source, 3);
 }
 
 TEST(Mailbox, FifoWithinMatchingMessages) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   for (int i = 0; i < 3; ++i) {
     Envelope env = make_envelope(1, 7, 1);
     env.bytes[0] = static_cast<std::byte>(i);
@@ -49,7 +50,7 @@ TEST(Mailbox, FifoWithinMatchingMessages) {
 
 TEST(Mailbox, NonMatchingMessagesAreSkippedNotConsumed) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(1, 1));
   box.push(make_envelope(1, 2));
   EXPECT_EQ(box.pop_matching(1, 2).tag, 2);
@@ -59,7 +60,7 @@ TEST(Mailbox, NonMatchingMessagesAreSkippedNotConsumed) {
 
 TEST(Mailbox, ProbeDoesNotConsume) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   EXPECT_FALSE(box.probe(1, 1));
   box.push(make_envelope(1, 1));
   EXPECT_TRUE(box.probe(1, 1));
@@ -69,39 +70,54 @@ TEST(Mailbox, ProbeDoesNotConsume) {
 }
 
 TEST(Mailbox, BlockedPopWakesOnPush) {
-  AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(5000));
-  std::thread producer([&box] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    box.push(make_envelope(0, 9));
+  // Rank 0 parks in its receive before rank 1 has sent anything; the push
+  // must make it runnable again.
+  int got = -1;
+  const auto result = Runtime::run(2, [&got](Comm& comm) {
+    if (comm.rank() == 0) {
+      got = comm.recv_value<int>(1, 9);
+    } else {
+      for (int i = 0; i < 3; ++i) FiberScheduler::yield_current();
+      comm.send_value(0, 9, 42);
+    }
   });
-  const Envelope got = box.pop_matching(0, 9);
-  EXPECT_EQ(got.tag, 9);
-  producer.join();
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(got, 42);
 }
 
-TEST(Mailbox, TimeoutRaisesDeadlock) {
+TEST(Mailbox, UnmatchedPopOutsideAFiberDeadlocksAtOnce) {
+  // Outside a fiber (the inline 1-rank path) nobody else can ever push,
+  // so waiting would be a hang: the receive fails immediately.
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(30));
+  Mailbox box(&abort);
   EXPECT_THROW(box.pop_matching(0, 0), DeadlockError);
 }
 
 TEST(Mailbox, AbortWakesBlockedPop) {
-  AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(5000));
-  std::thread aborter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    abort.trigger();
-    box.interrupt();
+  bool woke_with_abort = false;
+  const auto result = Runtime::run(2, [&woke_with_abort](Comm& comm) {
+    if (comm.rank() == 0) {
+      try {
+        comm.recv_value<int>(1, 0);
+      } catch (const AbortError&) {
+        woke_with_abort = true;
+        throw;
+      }
+    } else {
+      FiberScheduler::yield_current();
+      throw std::runtime_error("rank 1 dies");
+    }
   });
-  EXPECT_THROW(box.pop_matching(0, 0), AbortError);
-  aborter.join();
+  EXPECT_TRUE(result.aborted);
+  EXPECT_FALSE(result.deadlocked);
+  EXPECT_EQ(result.failed_rank, 1);
+  EXPECT_TRUE(woke_with_abort);
 }
 
 TEST(Mailbox, AbortedBoxThrowsImmediately) {
   AbortToken abort;
   abort.trigger();
-  Mailbox box(&abort, std::chrono::milliseconds(5000));
+  Mailbox box(&abort);
   EXPECT_THROW(box.pop_matching(kAnySource, kAnyTag), AbortError);
 }
 
@@ -109,7 +125,7 @@ TEST(Mailbox, WildcardTakesEarliestArrivalAcrossSubQueues) {
   // Matching is indexed by (source, tag); a wildcard receive must still
   // see global arrival order, not per-sub-queue order.
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(2, 20));
   box.push(make_envelope(1, 10));
   box.push(make_envelope(2, 20));
@@ -120,7 +136,7 @@ TEST(Mailbox, WildcardTakesEarliestArrivalAcrossSubQueues) {
 
 TEST(Mailbox, WildcardSourceWithExactTag) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   box.push(make_envelope(5, 7));
   box.push(make_envelope(3, 9));
   box.push(make_envelope(4, 7));
@@ -130,35 +146,35 @@ TEST(Mailbox, WildcardSourceWithExactTag) {
 }
 
 TEST(Mailbox, HealthyTrafficDoesNotTriggerDeadlock) {
-  // A receive waiting behind a slow stream of non-matching messages must
-  // not be declared a deadlock just because the stream outlasts one
-  // timeout period: every arrival resets the deadline.
-  AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(150));
-  std::thread producer([&box] {
-    for (int i = 0; i < 10; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(40));
-      box.push(make_envelope(0, 1));  // non-matching traffic
+  // A receive waiting behind a stream of non-matching messages is woken
+  // by none of them and parks again each time; it is not a deadlock as
+  // long as the sender can still run.
+  int got = -1;
+  const auto result = Runtime::run(2, [&got](Comm& comm) {
+    if (comm.rank() == 0) {
+      got = comm.recv_value<int>(1, 2);
+    } else {
+      for (int i = 0; i < 10; ++i) {
+        comm.send_value(0, 1, i);  // non-matching traffic
+        FiberScheduler::yield_current();
+      }
+      comm.send_value(0, 2, 7);  // the match
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    box.push(make_envelope(0, 2));  // the match, ~480ms after entry
   });
-  // Total wait (~480ms) is far beyond the 150ms timeout; only silence
-  // longer than the timeout may count.
-  EXPECT_EQ(box.pop_matching(0, 2).tag, 2);
-  producer.join();
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(got, 7);
 }
 
 TEST(Mailbox, SilenceAfterTrafficStillDeadlocks) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(50));
+  Mailbox box(&abort);
   box.push(make_envelope(0, 1));
   EXPECT_THROW(box.pop_matching(0, 2), DeadlockError);
 }
 
 TEST(Mailbox, BufferPoolRecyclesCapacity) {
   AbortToken abort;
-  Mailbox box(&abort, std::chrono::milliseconds(1000));
+  Mailbox box(&abort);
   Envelope env;
   env.source = 0;
   env.tag = 0;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 
 #include "simmpi/runtime.hpp"
 
@@ -23,6 +24,20 @@ TEST(Runtime, SerialRunsInline) {
   });
   EXPECT_TRUE(result.ok);
   EXPECT_TRUE(body_thread == caller);
+}
+
+TEST(Runtime, MultiRankJobRunsOnTheCallingThread) {
+  // Rank fibers never leave the launching thread: parallelism comes from
+  // running several jobs at once, not from spreading one job's ranks.
+  const auto caller = std::this_thread::get_id();
+  int off_thread = 0;
+  const auto result = Runtime::run(8, [&](Comm& comm) {
+    if (std::this_thread::get_id() != caller) ++off_thread;
+    comm.barrier();
+    if (std::this_thread::get_id() != caller) ++off_thread;
+  });
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(off_thread, 0);
 }
 
 TEST(Runtime, ReportsRankAndSize) {
@@ -50,16 +65,22 @@ TEST(Runtime, ExceptionAbortsJobAndRecordsRank) {
 }
 
 TEST(Runtime, DeadlockTimesOutAndIsFlagged) {
-  RunOptions opts;
-  opts.deadlock_timeout = std::chrono::milliseconds(100);
-  const auto result = Runtime::run(
-      2,
-      [](Comm& comm) {
-        // Both ranks wait for a message that never arrives.
-        double v;
-        comm.recv(1 - comm.rank(), 0, std::span<double>(&v, 1));
-      },
-      opts);
+  // Both ranks wait for a message that never arrives. There is no clock
+  // involved: the scheduler flags the deadlock once its run queue drains.
+  const auto result = Runtime::run(2, [](Comm& comm) {
+    double v;
+    comm.recv(1 - comm.rank(), 0, std::span<double>(&v, 1));
+  });
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.deadlocked);
+}
+
+TEST(Runtime, SerialUnmatchedReceiveDeadlocksAtOnce) {
+  // On the inline 1-rank path no other rank can ever send.
+  const auto result = Runtime::run(1, [](Comm& comm) {
+    comm.send_value(0, 1, 2.0);
+    (void)comm.recv_value<double>(0, 2);
+  });
   EXPECT_FALSE(result.ok);
   EXPECT_TRUE(result.deadlocked);
 }

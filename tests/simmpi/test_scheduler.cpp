@@ -1,64 +1,27 @@
-// Scheduler edge cases, exercised in both execution cores (fibers and
-// threads) via a value-parameterized fixture: deterministic deadlock with
-// zero runnable fibers, abort teardown mid-collective, a 512-rank smoke
-// job (the scale the thread-per-rank core existed to avoid), and pooled
-// resource reuse across an aborted job.
+// Scheduler edge cases: deterministic deadlock with zero runnable fibers,
+// abort teardown mid-collective, a 512-rank smoke job, pooled resource
+// reuse across an aborted job, and replay of the single-threaded schedule.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <numeric>
 #include <vector>
 
 #include "simmpi/collective.hpp"
-#include "simmpi/rank_team.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace resilience::simmpi {
 namespace {
 
-using std::chrono::milliseconds;
-using std::chrono::steady_clock;
-
-class SchedulerModes : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    detail::set_scheduler_fibers_enabled(GetParam());
-  }
-  void TearDown() override {
-    detail::reset_scheduler_fibers_enabled();
-    detail::set_scheduler_workers(-1);
-    detail::set_fiber_stack_kb(0);
-  }
-  [[nodiscard]] static bool fibers() { return GetParam(); }
-};
-
-std::string mode_name(const ::testing::TestParamInfo<bool>& param) {
-  return param.param ? "fibers" : "threads";
-}
-
-INSTANTIATE_TEST_SUITE_P(Cores, SchedulerModes, ::testing::Bool(), mode_name);
-
-TEST_P(SchedulerModes, ZeroRunnableRanksIsDeadlock) {
-  // Both ranks block receiving a message nobody will send. The fiber
-  // scheduler must declare the deadlock the moment its run queue drains;
-  // the threads core falls back to its timeout.
-  RunOptions opts;
-  opts.deadlock_timeout = milliseconds(200);
-  const auto start = steady_clock::now();
+TEST(FiberScheduler, ZeroRunnableRanksIsDeadlock) {
+  // Both ranks block receiving a message nobody will send. The scheduler
+  // must declare the deadlock the moment its run queue drains.
   const auto result = Runtime::run(
-      2,
-      [](Comm& comm) { comm.recv_value<int>(1 - comm.rank(), 0); },
-      opts);
+      2, [](Comm& comm) { comm.recv_value<int>(1 - comm.rank(), 0); });
   EXPECT_TRUE(result.deadlocked);
   EXPECT_TRUE(result.aborted);
-  EXPECT_GE(result.failed_rank, 0);
-  if (fibers()) {
-    // Event-driven detection: no fraction of the timeout was consumed.
-    EXPECT_LT(steady_clock::now() - start, milliseconds(150));
-  }
+  EXPECT_EQ(result.failed_rank, 0);  // first in run-queue order
 }
 
-TEST_P(SchedulerModes, AbortMidCollectiveTearsDownEveryParkedRank) {
+TEST(FiberScheduler, AbortMidCollectiveTearsDownEveryParkedRank) {
   const auto result = Runtime::run(16, [](Comm& comm) {
     if (comm.rank() == 5) throw std::runtime_error("rank 5 dies");
     const double sum = comm.allreduce_value(1.0);
@@ -77,26 +40,21 @@ TEST_P(SchedulerModes, AbortMidCollectiveTearsDownEveryParkedRank) {
   EXPECT_TRUE(clean.ok);
 }
 
-TEST_P(SchedulerModes, AbortRacingActiveCombinesStaysCoherent) {
-  // Regression for a TLS-borrow race: a job abort used to wake fibers
-  // parked on a fused collective while the combiner was replaying their
-  // instrumentation under BorrowFiberTls, letting two threads swap one
-  // fiber's thread-local bank concurrently. Abort wakeups for
-  // group-parked fibers are now deferred to the combiner's complete()
-  // or the no-runnable sweep. The dying rank lives *outside* the
-  // collective's sub-communicator, so its abort lands while the group's
-  // combines are genuinely in flight; multiple workers make the stale
-  // resume physically possible and the tsan run of this suite watches
-  // the TLS swaps.
-  detail::set_scheduler_workers(4);
+TEST(FiberScheduler, AbortRacingActiveCombinesStaysCoherent) {
+  // A rank outside a sub-communicator dies while the group streams fused
+  // allreduce+bcast combines: its abort lands with group members parked
+  // at a meeting point and their TLS banks borrowed by earlier combines.
+  // Every member must be woken and torn down, and the next job must run
+  // clean on the same process.
   for (int round = 0; round < 8; ++round) {
-    const auto result = Runtime::run(12, [](Comm& comm) {
+    const auto result = Runtime::run(12, [round](Comm& comm) {
       const int killer = comm.size() - 1;
       Comm sub = comm.split(comm.rank() == killer ? 1 : 0, comm.rank());
       if (comm.rank() == killer) {
-        // Give the workers' group time to stream collectives, then die
-        // at a scheduling-dependent point of their combine pipeline.
-        for (int i = 0; i < 200; ++i) FiberScheduler::yield_current();
+        // Let the group stream collectives, then die mid-pipeline.
+        for (int i = 0; i < 20 * (round + 1); ++i) {
+          FiberScheduler::yield_current();
+        }
         throw std::runtime_error("outsider dies");
       }
       std::vector<double> buf(256, comm.rank() + 1.0);
@@ -125,7 +83,6 @@ TEST(FusedGroup, StaleEpochArrivalIsRejectedBeforeRecordingState) {
   detail::FusedGroup group;
   FiberScheduler sched(0, 64 * 1024);
   const detail::Arrival arrival;
-  std::unique_lock lock(group.mutex());
   EXPECT_EQ(group.arrive(0, 1, arrival, 2),
             detail::FusedGroup::ArriveOutcome::Waiter);
   EXPECT_EQ(group.arrive(1, 1, arrival, 2),
@@ -142,11 +99,9 @@ TEST(FusedGroup, StaleEpochArrivalIsRejectedBeforeRecordingState) {
   EXPECT_EQ(group.done_epoch(), 2u);
 }
 
-TEST_P(SchedulerModes, FiveTwelveRankSmoke) {
-  // 512 ranks: collectives, a ring exchange and a reduction. Under the
-  // fiber core this costs a handful of worker threads; under the threads
-  // core it is the old 512-thread job and doubles as its regression
-  // check.
+TEST(FiberScheduler, FiveTwelveRankSmoke) {
+  // 512 ranks: collectives, a ring exchange and a reduction, all on the
+  // launching thread.
   const auto result = Runtime::run(512, [](Comm& comm) {
     comm.barrier();
     const int total = comm.allreduce_value(1);
@@ -166,11 +121,11 @@ TEST_P(SchedulerModes, FiveTwelveRankSmoke) {
   EXPECT_TRUE(result.ok) << result.error;
 }
 
-TEST_P(SchedulerModes, PooledResourcesSurviveAnAbortedJob) {
+TEST(FiberScheduler, PooledResourcesSurviveAnAbortedJob) {
   // An abort tears a job down mid-flight with ranks parked and pooled
-  // resources (fiber stacks / team threads / envelope buffers) checked
-  // out. The pools must hand all of it back: follow-up jobs of the same
-  // and larger widths run clean.
+  // resources (fiber stacks, envelope buffers) checked out. The pools
+  // must hand all of it back: follow-up jobs of the same and larger
+  // widths run clean.
   const auto aborted = Runtime::run(32, [](Comm& comm) {
     if (comm.rank() == 31) throw std::runtime_error("late rank dies");
     comm.barrier();
@@ -189,44 +144,46 @@ TEST_P(SchedulerModes, PooledResourcesSurviveAnAbortedJob) {
   }
 }
 
-TEST(FiberScheduler, WorkerCountDoesNotChangeResults) {
-  // The same job body must produce identical values no matter how many
-  // workers multiplex the fibers (including more workers than ranks ask
-  // for, which the resolver clamps).
-  detail::set_scheduler_fibers_enabled(true);
-  std::vector<double> baseline;
-  for (const int workers : {1, 2, 4, 64}) {
-    detail::set_scheduler_workers(workers);
-    std::vector<double> out;
-    const auto result = Runtime::run(8, [&out](Comm& comm) {
-      std::vector<double> v(3, 1.5 * (comm.rank() + 1));
-      std::vector<double> sum(3);
-      comm.allreduce(std::span<const double>(v), std::span<double>(sum));
-      if (comm.rank() == 0) out = sum;
+TEST(FiberScheduler, ScheduleReplaysExactly) {
+  // The run queue is the only source of interleaving, so the order in
+  // which ranks pass their program points — wildcard matches, polling
+  // yields, collective arrivals — is identical on every run of a job.
+  const auto trace_of = [] {
+    std::vector<int> trace;
+    const auto result = Runtime::run(6, [&trace](Comm& comm) {
+      if (comm.rank() == 0) {
+        for (int i = 1; i < comm.size(); ++i) {
+          const int got = comm.recv_value<int>(kAnySource, 0);
+          trace.push_back(100 + got);
+        }
+      } else {
+        for (int i = 0; i < comm.rank(); ++i) {
+          FiberScheduler::yield_current();
+        }
+        trace.push_back(comm.rank());
+        comm.send_value(0, 0, comm.rank());
+      }
+      (void)comm.allreduce_value(comm.rank());
+      trace.push_back(200 + comm.rank());
     });
-    EXPECT_TRUE(result.ok);
-    if (baseline.empty()) {
-      baseline = out;
-    } else {
-      EXPECT_EQ(out, baseline) << workers << " workers";
-    }
-  }
-  detail::set_scheduler_workers(-1);
-  detail::reset_scheduler_fibers_enabled();
+    EXPECT_TRUE(result.ok) << result.error;
+    return trace;
+  };
+  const std::vector<int> first = trace_of();
+  EXPECT_EQ(first.size(), 5u + 5u + 6u);
+  for (int run = 0; run < 3; ++run) EXPECT_EQ(trace_of(), first);
 }
 
 TEST(FiberScheduler, TinyStacksStillRunLeafWork) {
   // The configured floor (16 KiB) plus guard page must be enough for a
   // rank that only does transport calls — the scheduler's own frames and
   // the mailbox path must not assume a deep stack.
-  detail::set_scheduler_fibers_enabled(true);
   detail::set_fiber_stack_kb(16);
   const auto result = Runtime::run(4, [](Comm& comm) {
     EXPECT_EQ(comm.allreduce_value(1), 4);
   });
   EXPECT_TRUE(result.ok) << result.error;
   detail::set_fiber_stack_kb(0);
-  detail::reset_scheduler_fibers_enabled();
 }
 
 }  // namespace

@@ -13,9 +13,8 @@ namespace resilience::util {
 namespace {
 
 const char* const kAllVars[] = {
-    "RESILIENCE_THREADS",        "RESILIENCE_TEAM_POOL",
-    "RESILIENCE_SCHEDULER",      "RESILIENCE_SCHED_WORKERS",
-    "RESILIENCE_FIBER_STACK_KB", "RESILIENCE_FAST_REAL",
+    "RESILIENCE_THREADS",        "RESILIENCE_FIBER_STACK_KB",
+    "RESILIENCE_FAST_REAL",
     "RESILIENCE_CHECKPOINT",     "RESILIENCE_CHECKPOINT_BUDGET",
     "RESILIENCE_TRACE",          "RESILIENCE_METRICS",
 };
@@ -37,9 +36,6 @@ class RuntimeOptionsTest : public ::testing::Test {
 TEST_F(RuntimeOptionsTest, DefaultsWhenNothingSet) {
   const RuntimeOptions opts = RuntimeOptions::from_env();
   EXPECT_EQ(opts.threads, 0);
-  EXPECT_TRUE(opts.team_pool);
-  EXPECT_TRUE(opts.scheduler_fibers);
-  EXPECT_EQ(opts.sched_workers, 0);
   EXPECT_EQ(opts.fiber_stack_kb, 256u);
   EXPECT_TRUE(opts.fast_real);
   EXPECT_TRUE(opts.checkpoint);
@@ -50,9 +46,6 @@ TEST_F(RuntimeOptionsTest, DefaultsWhenNothingSet) {
 
 TEST_F(RuntimeOptionsTest, ResolvesEveryVariable) {
   ::setenv("RESILIENCE_THREADS", "6", 1);
-  ::setenv("RESILIENCE_TEAM_POOL", "0", 1);
-  ::setenv("RESILIENCE_SCHEDULER", "threads", 1);
-  ::setenv("RESILIENCE_SCHED_WORKERS", "4", 1);
   ::setenv("RESILIENCE_FIBER_STACK_KB", "512", 1);
   ::setenv("RESILIENCE_FAST_REAL", "0", 1);
   ::setenv("RESILIENCE_CHECKPOINT", "0", 1);
@@ -61,9 +54,6 @@ TEST_F(RuntimeOptionsTest, ResolvesEveryVariable) {
   ::setenv("RESILIENCE_METRICS", "metrics.json", 1);
   const RuntimeOptions opts = RuntimeOptions::from_env();
   EXPECT_EQ(opts.threads, 6);
-  EXPECT_FALSE(opts.team_pool);
-  EXPECT_FALSE(opts.scheduler_fibers);
-  EXPECT_EQ(opts.sched_workers, 4);
   EXPECT_EQ(opts.fiber_stack_kb, 512u);
   EXPECT_FALSE(opts.fast_real);
   EXPECT_FALSE(opts.checkpoint);
@@ -74,20 +64,17 @@ TEST_F(RuntimeOptionsTest, ResolvesEveryVariable) {
 
 TEST_F(RuntimeOptionsTest, WarnsAndFallsBackOnMalformedValues) {
   ::setenv("RESILIENCE_THREADS", "many", 1);
-  ::setenv("RESILIENCE_TEAM_POOL", "yes", 1);
-  ::setenv("RESILIENCE_SCHEDULER", "coroutines", 1);
+  ::setenv("RESILIENCE_FAST_REAL", "yes", 1);
   ::setenv("RESILIENCE_CHECKPOINT_BUDGET", "lots", 1);
   ::testing::internal::CaptureStderr();
   const RuntimeOptions opts = RuntimeOptions::from_env();
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(opts.threads, 0);
-  EXPECT_TRUE(opts.team_pool);
-  EXPECT_TRUE(opts.scheduler_fibers);  // unrecognised mode keeps default
+  EXPECT_TRUE(opts.fast_real);  // invalid flag keeps the default
   EXPECT_EQ(opts.checkpoint_budget, 8u);
   EXPECT_NE(err.find("warning"), std::string::npos);
   EXPECT_NE(err.find("RESILIENCE_THREADS"), std::string::npos);
-  EXPECT_NE(err.find("RESILIENCE_TEAM_POOL"), std::string::npos);
-  EXPECT_NE(err.find("RESILIENCE_SCHEDULER"), std::string::npos);
+  EXPECT_NE(err.find("RESILIENCE_FAST_REAL"), std::string::npos);
   EXPECT_NE(err.find("RESILIENCE_CHECKPOINT_BUDGET"), std::string::npos);
 }
 

@@ -9,17 +9,10 @@ Output:
   BENCH_substrate.json         one machine-readable record of the repo's
                                substrate performance, including the derived
                                headline metrics:
-                                 - launch_speedup.<n>: pooled vs unpooled
-                                   per-trial job launch latency on the
-                                   threads core (the PR's acceptance bar
-                                   is >= 2x at nranks >= 8)
-                                 - collective_speedup.<n>: fused fiber
-                                   allreduce vs the threads-core mailbox
+                                 - collective_speedup.<n>: fused
+                                   allreduce vs the mailbox
                                    decomposition (bar: >= 1.0x at every
                                    benched rank count)
-                                 - scheduler_speedup.{collective,p2p}.<n>:
-                                   whole-job fibers-core vs threads-core
-                                   wall time at 16..1024 ranks
                                  - allocs_per_msg.<bytes>: envelope-pool
                                    payload allocations per message
                                  - real_scalar_speedup.{unarmed,armed}:
@@ -118,27 +111,12 @@ def real_time(benchmarks, name):
 def derive_micro_metrics(micro):
     """Headline ratios from the micro-substrate google-benchmark dump."""
     benchmarks = micro.get("benchmarks", [])
-    metrics = {"launch_speedup": {}, "collective_speedup": {},
-               "scheduler_speedup": {"collective": {}, "p2p": {}},
-               "allocs_per_msg": {}}
-    for ranks in (2, 8, 32, 64):
-        pooled = real_time(benchmarks, f"BM_JobSpawnJoin/{ranks}")
-        unpooled = real_time(benchmarks, f"BM_JobSpawnJoinUnpooled/{ranks}")
-        if pooled and unpooled:
-            metrics["launch_speedup"][str(ranks)] = unpooled / pooled
+    metrics = {"collective_speedup": {}, "allocs_per_msg": {}}
     for ranks in (4, 8, 16, 64):
         fused = real_time(benchmarks, f"BM_AllreduceRound/{ranks}")
         mailbox = real_time(benchmarks, f"BM_AllreduceRoundMailbox/{ranks}")
         if fused and mailbox:
             metrics["collective_speedup"][str(ranks)] = mailbox / fused
-    for kind, stem in (("collective", "BM_SchedCollective"),
-                       ("p2p", "BM_SchedPointToPoint")):
-        for ranks in (16, 64, 256, 1024):
-            fibers = real_time(benchmarks, f"{stem}Fibers/{ranks}")
-            threads = real_time(benchmarks, f"{stem}Threads/{ranks}")
-            if fibers and threads:
-                metrics["scheduler_speedup"][kind][str(ranks)] = \
-                    threads / fibers
     for b in benchmarks:
         if b.get("name", "").startswith("BM_PingPong/") and "allocs_per_msg" in b:
             size = b["name"].split("/", 1)[1]
@@ -350,18 +328,10 @@ def main():
     print(f"merge_bench: wrote {out_path}")
 
     metrics = merged.get("metrics", {})
-    for ranks, ratio in sorted(metrics.get("launch_speedup", {}).items(),
-                               key=lambda kv: int(kv[0])):
-        print(f"  job launch speedup @{ranks} ranks: {ratio:.2f}x")
     for ranks, ratio in sorted(metrics.get("collective_speedup", {}).items(),
                                key=lambda kv: int(kv[0])):
         bar = "" if ratio >= 1.0 else "  ** BELOW the >= 1.0x bar **"
         print(f"  fused collective speedup @{ranks} ranks: {ratio:.2f}x{bar}")
-    for kind in ("collective", "p2p"):
-        legs = metrics.get("scheduler_speedup", {}).get(kind, {})
-        for ranks, ratio in sorted(legs.items(), key=lambda kv: int(kv[0])):
-            print(f"  scheduler ({kind}) fibers-vs-threads @{ranks} ranks: "
-                  f"{ratio:.2f}x")
     for label, ratio in metrics.get("real_scalar_speedup", {}).items():
         print(f"  Real scalar fast-path speedup ({label}): {ratio:.2f}x")
     for label, ratio in metrics.get("blocked_dot_speedup", {}).items():

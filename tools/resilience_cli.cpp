@@ -48,7 +48,7 @@
 //   --ci-half-width W    Absolute CI half-width target (default 0.02);
 //                        implies --trials-auto.
 // Both default to the RESILIENCE_ADAPTIVE* env knobs; stopping points are
-// seed-deterministic (independent of --jobs and scheduler mode).
+// seed-deterministic (independent of --jobs and --shards).
 //
 // campaign, predict, and propagation also accept:
 //   --trace out.jsonl    Write a structured trace of the run (spans for
