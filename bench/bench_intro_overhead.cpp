@@ -363,17 +363,15 @@ int main(int argc, char** argv) {
   }
 
   // Binary substrate (DESIGN.md §15): golden-store save/load and shard
-  // frame encode/decode in both serialization formats. The store numbers
-  // time the full disk round trip (serialize + atomic rename, open +
-  // validate + materialize); the frame numbers time the payload codecs
-  // alone. merge_bench.py derives serialization_speedup from these legs
-  // (bar: >= 3x binary vs JSON on the golden load) and records the
-  // per-format file sizes as golden_store_bytes.
+  // frame encode/decode, as absolute times. The store numbers time the
+  // full disk round trip (serialize + atomic rename, open + validate +
+  // materialize); the frame numbers time the payload codecs alone.
+  // merge_bench.py records the store file size as golden_store_bytes.
   util::JsonObject serialization_json;
   {
     // FT S4's checkpoint state (the full per-rank grid at each stored
     // boundary) gives the store a realistically sized golden run — on a
-    // CG (S) file the fixed open/stat cost hides the codec difference.
+    // CG (S) file the fixed open/stat cost hides the codec cost.
     const apps::FtApp store_app(apps::FtApp::Config{.n = 64, .iterations = 4},
                                 "S4");
     const int nranks = 4;
@@ -385,52 +383,33 @@ int main(int argc, char** argv) {
             .string();
     std::filesystem::remove_all(dir);
 
+    // Mean seconds per call of `fn` over `iters` calls.
+    const auto per_call = [](int iters, const auto& fn) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < iters; ++i) fn();
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start)
+                 .count() /
+             iters;
+    };
+
     constexpr int kStoreIters = 20;
     std::cout << "\nSerialization substrate (FT S4 golden run, " << nranks
               << " ranks, checkpoints included; " << kStoreIters
               << " iterations):\n";
-    struct StoreLeg {
-      double save_seconds = 0.0;
-      double load_seconds = 0.0;
-      std::uintmax_t file_bytes = 0;
-    };
-    const auto time_store = [&](harness::StoreFormat format) {
-      StoreLeg leg;
-      harness::GoldenStore store(dir, format);
-      auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < kStoreIters; ++i) store.put(store_app, nranks, golden);
-      leg.save_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count() /
-                         kStoreIters;
-      leg.file_bytes = std::filesystem::file_size(store.path_for(store_app, nranks));
-      start = std::chrono::steady_clock::now();
-      for (int i = 0; i < kStoreIters; ++i) {
-        if (store.load(store_app, nranks) == nullptr) std::abort();
-      }
-      leg.load_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count() /
-                         kStoreIters;
-      return leg;
-    };
-    const StoreLeg json_leg = time_store(harness::StoreFormat::JsonV1);
-    const StoreLeg bin_leg = time_store(harness::StoreFormat::BinaryV2);
+    harness::GoldenStore store(dir);
+    const double save_seconds = per_call(
+        kStoreIters, [&] { store.put(store_app, nranks, golden); });
+    const std::uintmax_t file_bytes =
+        std::filesystem::file_size(store.path_for(store_app, nranks));
+    const double load_seconds = per_call(kStoreIters, [&] {
+      if (store.load(store_app, nranks) == nullptr) std::abort();
+    });
     std::filesystem::remove_all(dir);
-    std::cout << "  golden store save: " << bench::fmt(json_leg.save_seconds * 1e3, 2)
-              << " ms JSON vs " << bench::fmt(bin_leg.save_seconds * 1e3, 2)
-              << " ms binary — "
-              << bench::fmt(json_leg.save_seconds / bin_leg.save_seconds, 1)
-              << "x\n  golden store load: "
-              << bench::fmt(json_leg.load_seconds * 1e3, 2) << " ms JSON vs "
-              << bench::fmt(bin_leg.load_seconds * 1e3, 2) << " ms binary — "
-              << bench::fmt(json_leg.load_seconds / bin_leg.load_seconds, 1)
-              << "x\n  file size: " << json_leg.file_bytes << " bytes JSON vs "
-              << bin_leg.file_bytes << " bytes binary ("
-              << bench::fmt(static_cast<double>(json_leg.file_bytes) /
-                                static_cast<double>(bin_leg.file_bytes),
-                            1)
-              << "x smaller)\n";
+    std::cout << "  golden store save: " << bench::fmt(save_seconds * 1e3, 2)
+              << " ms\n  golden store load: "
+              << bench::fmt(load_seconds * 1e3, 2) << " ms\n  file size: "
+              << file_bytes << " bytes\n";
 
     // Frame codecs over a representative result frame: one 64-trial unit's
     // outcomes plus the full metrics snapshot it carries home.
@@ -448,74 +427,28 @@ int main(int argc, char** argv) {
       result.metrics.counters[c] = rng.next();
     }
     const shard::Message message{result};
-    struct FrameLeg {
-      double encode_seconds = 0.0;
-      double decode_seconds = 0.0;
-      std::size_t bytes = 0;
-    };
-    const auto time_frames = [&](shard::WireFormat format) {
-      FrameLeg leg;
-      auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < kFrameIters; ++i) {
-        leg.bytes = shard::encode_message(message, format).size();
-      }
-      leg.encode_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count() /
-                           kFrameIters;
-      const auto payload = shard::encode_message(message, format);
-      start = std::chrono::steady_clock::now();
-      for (int i = 0; i < kFrameIters; ++i) {
-        (void)shard::decode_message(payload, format);
-      }
-      leg.decode_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count() /
-                           kFrameIters;
-      return leg;
-    };
-    const FrameLeg json_frames = time_frames(shard::WireFormat::Json);
-    const FrameLeg bin_frames = time_frames(shard::WireFormat::Binary);
-    std::cout << "  result frame encode: "
-              << bench::fmt(json_frames.encode_seconds * 1e6, 1)
-              << " us JSON vs " << bench::fmt(bin_frames.encode_seconds * 1e6, 1)
-              << " us binary — "
-              << bench::fmt(json_frames.encode_seconds / bin_frames.encode_seconds,
-                            1)
-              << "x\n  result frame decode: "
-              << bench::fmt(json_frames.decode_seconds * 1e6, 1)
-              << " us JSON vs " << bench::fmt(bin_frames.decode_seconds * 1e6, 1)
-              << " us binary — "
-              << bench::fmt(json_frames.decode_seconds / bin_frames.decode_seconds,
-                            1)
-              << "x\n";
+    std::vector<std::byte> payload;
+    const double encode_seconds = per_call(
+        kFrameIters, [&] { payload = shard::encode_message(message); });
+    const double decode_seconds = per_call(
+        kFrameIters, [&] { (void)shard::decode_message(payload); });
+    std::cout << "  result frame encode: " << bench::fmt(encode_seconds * 1e6, 1)
+              << " us\n  result frame decode: "
+              << bench::fmt(decode_seconds * 1e6, 1) << " us ("
+              << payload.size() << "-byte payload)\n";
 
-    const auto store_json = [](const StoreLeg& leg) {
-      util::JsonObject o;
-      o["save_seconds"] = util::Json(leg.save_seconds);
-      o["load_seconds"] = util::Json(leg.load_seconds);
-      o["file_bytes"] = util::Json(static_cast<std::size_t>(leg.file_bytes));
-      return util::Json(std::move(o));
-    };
-    const auto frames_json = [](const FrameLeg& leg) {
-      util::JsonObject o;
-      o["encode_seconds"] = util::Json(leg.encode_seconds);
-      o["decode_seconds"] = util::Json(leg.decode_seconds);
-      o["payload_bytes"] = util::Json(leg.bytes);
-      return util::Json(std::move(o));
-    };
-    util::JsonObject golden_json;
-    golden_json["iterations"] = util::Json(kStoreIters);
-    golden_json["nranks"] = util::Json(nranks);
-    golden_json["json"] = store_json(json_leg);
-    golden_json["binary"] = store_json(bin_leg);
-    util::JsonObject frame_json;
-    frame_json["iterations"] = util::Json(kFrameIters);
-    frame_json["outcomes"] = util::Json(64);
-    frame_json["json"] = frames_json(json_frames);
-    frame_json["binary"] = frames_json(bin_frames);
-    serialization_json["golden_store"] = util::Json(std::move(golden_json));
-    serialization_json["result_frame"] = util::Json(std::move(frame_json));
+    serialization_json["golden_store"] = util::JsonObject{
+        {"iterations", kStoreIters},
+        {"nranks", nranks},
+        {"save_seconds", save_seconds},
+        {"load_seconds", load_seconds},
+        {"file_bytes", static_cast<std::size_t>(file_bytes)}};
+    serialization_json["result_frame"] = util::JsonObject{
+        {"iterations", kFrameIters},
+        {"outcomes", 64},
+        {"encode_seconds", encode_seconds},
+        {"decode_seconds", decode_seconds},
+        {"payload_bytes", payload.size()}};
   }
 
   // Machine-readable mirror of the numbers above, merged into

@@ -77,8 +77,7 @@ void restore_views(std::span<const std::byte> bytes,
 // ---- checkpoint store ------------------------------------------------------
 
 /// Byte storage of one rank's checkpoint state: either owned (captured in
-/// this process, or decoded from the JSON store format) or borrowed from
-/// an mmap'd golden-v2 store file. A borrowed span's mapping is pinned by
+/// this process) or borrowed from an mmap'd golden-v2 store file. A borrowed span's mapping is pinned by
 /// the enclosing CheckpointData's `backing`, so the fast-forward restore
 /// memcpys checkpoint bytes exactly once — mapping to live StateViews —
 /// with no intermediate owned copy.

@@ -10,12 +10,11 @@
 // load the golden run instead of re-profiling it, and a repeated CLI
 // invocation skips the pre-pass entirely.
 //
-// Two formats coexist: golden-v2 (`<stem>-v2.bin`, the default) is a
+// The store has one file format, golden-v2 (`<stem>-v2.bin`): a
 // little-endian binary layout with per-section CRC32s, loaded through an
-// mmap whose state spans feed the zero-copy fast-forward restore;
-// golden-v1 (`<stem>-v1.json`) is the JSON/base64 fallback, still written
-// under RESILIENCE_STORE_FORMAT=json and still readable always — a v1
-// file found by a binary-format store is served once and rewritten as v2.
+// mmap whose state spans feed the zero-copy fast-forward restore. Files
+// of any other name in the directory (the retired golden-v1 JSON
+// `-v1.json` files among them) are never opened.
 //
 // Fill-once discipline: writers create `<file>.lock` with O_CREAT|O_EXCL,
 // write to a temp file, rename it over the data file, and unlink the
@@ -34,38 +33,20 @@
 
 namespace resilience::harness {
 
-/// On-disk serialization format of a golden-store file.
-enum class StoreFormat : std::uint8_t {
-  JsonV1,    ///< `-v1.json`: JSON with base64 rank state
-  BinaryV2,  ///< `-v2.bin`: binio sections, CRC32, mmap zero-copy loads
-};
-
 class GoldenStore {
  public:
-  /// Opens (creating if needed) the store directory; writes use the
-  /// RESILIENCE_STORE_FORMAT format (binary unless the host lacks binio
-  /// support). Throws std::runtime_error when the directory cannot be
-  /// created.
+  /// Opens (creating if needed) the store directory. Throws
+  /// std::runtime_error when the directory cannot be created.
   explicit GoldenStore(std::string dir);
-  /// Same, with an explicit write format (tests and benches).
-  GoldenStore(std::string dir, StoreFormat write_format);
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
-  [[nodiscard]] StoreFormat write_format() const noexcept {
-    return write_format_;
-  }
 
-  /// The data file of one key in the active write format (exposed for
-  /// tests and diagnostics).
+  /// The golden-v2 data file of one key (exposed for tests and
+  /// diagnostics).
   [[nodiscard]] std::string path_for(const apps::App& app, int nranks) const;
-  /// The data file of one key in a specific format.
-  [[nodiscard]] std::string path_for(const apps::App& app, int nranks,
-                                     StoreFormat format) const;
 
   /// Load the golden run of (app, nranks), or null on a miss. Counts
-  /// golden_store.hits / golden_store.misses. Tries the v2 binary file
-  /// first, then the v1 JSON file; a v1 hit under a binary write format
-  /// is rewritten as v2 (and the v1 file removed). A malformed file is
+  /// golden_store.hits / golden_store.misses. A malformed file is
   /// unlinked (golden_store.refills; the next fill recreates it); a file
   /// recorded under different checkpoint settings than the process
   /// currently runs with is left in place but reported as a miss.
@@ -81,9 +62,8 @@ class GoldenStore {
       const apps::App& app, int nranks,
       const std::function<GoldenRun()>& profile);
 
-  /// Serialize `golden` for (app, nranks) in the active write format,
-  /// overwriting any existing file (temp write + atomic rename) and
-  /// removing the other format's file so the key stays canonical. Throws
+  /// Serialize `golden` for (app, nranks) as golden-v2, overwriting any
+  /// existing file (temp write + atomic rename). Throws
   /// std::runtime_error on I/O failure.
   void put(const apps::App& app, int nranks, const GoldenRun& golden);
 
@@ -92,7 +72,6 @@ class GoldenStore {
       const apps::App& app, int nranks, bool count);
 
   std::string dir_;
-  StoreFormat write_format_;
 };
 
 }  // namespace resilience::harness

@@ -86,7 +86,7 @@ struct GoldenRun {
   /// Boundary checkpoints captured during the pre-pass (null when capture
   /// was disabled or the app has no boundary hooks). Not part of the
   /// campaign file schema; the on-disk GoldenStore serializes them with
-  /// full fidelity (golden_to_json) so a loaded golden run drives the
+  /// full fidelity (golden-v2) so a loaded golden run drives the
   /// checkpoint fast path exactly like a fresh one.
   std::shared_ptr<const CheckpointData> checkpoints;
 

@@ -95,7 +95,7 @@ class Coordinator {
     for (Worker& w : workers_) {
       if (w.fd < 0) continue;
       try {
-        write_message(w.fd, opts_.wire, ShutdownMsg{});
+        write_message(w.fd, ShutdownMsg{});
       } catch (...) {
       }
       ::close(w.fd);
@@ -234,8 +234,8 @@ class Coordinator {
     try {
       // Handshake first, init pipelined behind it: the worker validates
       // the handshake before it parses anything else.
-      write_handshake(w.fd, opts_.wire);
-      write_message(w.fd, opts_.wire, init);
+      write_handshake(w.fd);
+      write_message(w.fd, init);
     } catch (const std::exception&) {
       // A worker that died before reading init surfaces as EOF in the
       // event loop; the recovery path there replaces it.
@@ -248,9 +248,8 @@ class Coordinator {
     const std::size_t id = pending_.front();
     pending_.pop_front();
     try {
-      write_message(w.fd, opts_.wire,
-                    UnitMsg{static_cast<std::uint64_t>(id),
-                            (*units_)[id].refs});
+      write_message(w.fd, UnitMsg{static_cast<std::uint64_t>(id),
+                                  (*units_)[id].refs});
     } catch (const std::exception&) {
       pending_.push_front(id);
       handle_worker_down(slot);
@@ -283,7 +282,7 @@ class Coordinator {
     }
     Message msg;
     try {
-      msg = decode_message(*payload, opts_.wire);
+      msg = decode_message(*payload);
     } catch (const std::exception& e) {
       last_error_ = e.what();
       handle_worker_down(slot);
@@ -296,8 +295,12 @@ class Coordinator {
       return;
     }
     if (auto* result = std::get_if<ResultMsg>(&msg)) {
-      const auto id = static_cast<std::size_t>(result->id);
-      Unit& unit = (*units_)[id];
+      if (std::string bad = result_mismatch(w, *result); !bad.empty()) {
+        last_error_ = std::move(bad);
+        handle_worker_down(slot);
+        return;
+      }
+      Unit& unit = (*units_)[static_cast<std::size_t>(w.unit)];
       unit.results = std::move(result->outcomes);
       unit.wall = result->wall_seconds;
       metrics_.absorb(result->metrics);
@@ -316,24 +319,38 @@ class Coordinator {
     handle_worker_down(slot);
   }
 
+  /// A result must answer the unit in flight on its worker with one
+  /// outcome per ref. Anything else (a stray id, a wrong count, a
+  /// duplicate or unsolicited result) comes from a confused worker and
+  /// must not reach the tallies. Returns why the frame is rejected, or ""
+  /// when it is valid.
+  std::string result_mismatch(const Worker& w, const ResultMsg& result) const {
+    const std::string unit = "shard: result for unit " +
+                             std::to_string(result.id);
+    if (w.unit < 0) return unit + " from a worker with no unit in flight";
+    if (result.id != static_cast<std::uint64_t>(w.unit)) {
+      return unit + " while unit " + std::to_string(w.unit) +
+             " is in flight on that worker";
+    }
+    const std::size_t refs = (*units_)[static_cast<std::size_t>(w.unit)]
+                                 .refs.size();
+    if (result.outcomes.size() != refs) {
+      return unit + " carries " + std::to_string(result.outcomes.size()) +
+             " outcome(s) for " + std::to_string(refs) + " ref(s)";
+    }
+    return {};
+  }
+
   /// First frame from a fresh worker: its handshake echo — or, when the
-  /// worker bailed out (wire-format mismatch, bad environment), its error
+  /// worker bailed out (version mismatch, bad environment), its error
   /// frame, whose message is worth keeping over a generic parse failure.
   void handle_handshake(std::size_t slot, std::span<const std::byte> payload) {
     Worker& w = workers_[slot];
-    if (const auto hs = parse_handshake(payload)) {
-      if (hs->version != kShardProtocolVersion) {
+    if (const auto version = parse_handshake(payload)) {
+      if (*version != kShardProtocolVersion) {
         last_error_ = "shard: worker speaks protocol version " +
-                      std::to_string(hs->version) + ", coordinator speaks " +
+                      std::to_string(*version) + ", coordinator speaks " +
                       std::to_string(kShardProtocolVersion);
-        handle_worker_down(slot);
-        return;
-      }
-      if (hs->format != opts_.wire) {
-        last_error_ =
-            std::string("shard: wire format mismatch: worker uses ") +
-            wire_format_name(hs->format) + ", coordinator uses " +
-            wire_format_name(opts_.wire);
         handle_worker_down(slot);
         return;
       }
@@ -341,7 +358,7 @@ class Coordinator {
       return;
     }
     try {
-      const Message msg = decode_message(payload, opts_.wire);
+      const Message msg = decode_message(payload);
       if (const auto* error = std::get_if<ErrorMsg>(&msg)) {
         last_error_ = error->message;
         w.errored = true;
@@ -402,7 +419,6 @@ ShardOptions ShardOptions::from_runtime() {
   s.shards = opt.shards;
   s.golden_store_dir = opt.golden_store;
   s.debug_kill_unit = opt.shard_kill_unit;
-  s.wire = wire_format_from_runtime();
   return s;
 }
 

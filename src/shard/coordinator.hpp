@@ -12,10 +12,12 @@
 // on-disk GoldenStore before spawning workers, and workers load the
 // golden run (checkpoints included) from disk.
 //
-// Crash recovery: a worker that EOFs, errors, or exceeds the unit
-// timeout is reaped, its in-flight unit is re-enqueued, and a
-// replacement is spawned (shard.worker_restarts); the re-run unit
-// produces the same outcomes, so a crash costs time, never correctness.
+// Crash recovery: a worker that EOFs, errors, exceeds the unit timeout,
+// or sends a result that does not answer its in-flight unit (wrong id,
+// wrong outcome count, nothing in flight) is reaped, its in-flight unit
+// is re-enqueued, and a replacement is spawned (shard.worker_restarts);
+// the re-run unit produces the same outcomes, so a crash costs time,
+// never correctness.
 #pragma once
 
 #include <chrono>
@@ -45,14 +47,9 @@ struct ShardOptions {
   /// SIGKILLs itself after completing this many units, exercising the
   /// recovery path. -1 = off.
   int debug_kill_unit = -1;
-  /// Frame encoding the coordinator speaks and expects workers to echo in
-  /// the handshake. Workers resolve theirs from RESILIENCE_WIRE (which
-  /// they inherit), so the two agree unless the environment is changed
-  /// between spawn and exec — which the handshake then rejects.
-  WireFormat wire = WireFormat::Binary;
 
   /// Resolve from RESILIENCE_SHARDS / RESILIENCE_GOLDEN_STORE /
-  /// RESILIENCE_SHARD_KILL / RESILIENCE_WIRE (util::RuntimeOptions).
+  /// RESILIENCE_SHARD_KILL (util::RuntimeOptions).
   static ShardOptions from_runtime();
 };
 

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "telemetry/sinks.hpp"
 #include "util/binio.hpp"
 #include "util/options.hpp"
 
@@ -17,7 +16,7 @@ namespace resilience::shard {
 namespace {
 
 constexpr char kHandshakeMagic[4] = {'R', 'S', 'W', 'H'};
-constexpr std::size_t kHandshakeSize = 9;  // magic + u32 version + u8 format
+constexpr std::size_t kHandshakeSize = 8;  // magic + u32 version
 
 /// Backstop against a corrupted length prefix (a stray write into the
 /// pipe): no legitimate frame approaches the default. RESILIENCE_FRAME_CAP_MB
@@ -74,6 +73,17 @@ enum MsgTag : std::uint8_t {
   kTagShutdown = 6,
 };
 
+/// Decode an enum field, rejecting values past its last enumerator: a
+/// cast would hand downstream switches a value none of them handles.
+template <typename Enum>
+Enum checked_enum(std::uint32_t raw, Enum last, const char* field) {
+  if (raw > static_cast<std::uint32_t>(last)) {
+    throw util::BinError(std::string("shard: ") + field + " " +
+                         std::to_string(raw) + " out of range");
+  }
+  return static_cast<Enum>(raw);
+}
+
 void write_deployment(util::BinWriter& w,
                       const harness::DeploymentConfig& c) {
   w.i32(c.nranks);
@@ -106,15 +116,19 @@ harness::DeploymentConfig read_deployment(util::BinReader& r) {
   harness::DeploymentConfig c;
   c.nranks = r.i32();
   c.errors_per_test = r.i32();
-  c.scenario.domain = static_cast<fsefi::FaultDomain>(r.u8());
-  c.scenario.pattern = static_cast<fsefi::FaultPattern>(r.u8());
-  c.scenario.arrival = static_cast<fsefi::ArrivalModel>(r.u8());
+  c.scenario.domain = checked_enum(
+      r.u8(), fsefi::FaultDomain::ResidentState, "fault domain");
+  c.scenario.pattern =
+      checked_enum(r.u8(), fsefi::FaultPattern::RankCrash, "fault pattern");
+  c.scenario.arrival = checked_enum(
+      r.u8(), fsefi::ArrivalModel::PoissonTimeline, "arrival model");
   c.scenario.kinds = static_cast<fsefi::KindMask>(r.u32());
   c.scenario.regions = static_cast<fsefi::RegionMask>(r.u32());
   c.scenario.mtbf_factor = r.f64();
   c.trials = r.u64();
   c.seed = r.u64();
-  c.selection = static_cast<harness::TargetSelection>(r.u32());
+  c.selection = checked_enum(
+      r.u32(), harness::TargetSelection::UniformRank, "target selection");
   c.hang_budget_factor = r.f64();
   c.hang_budget_slack = r.u64();
   c.max_workers = r.i32();
@@ -162,48 +176,12 @@ telemetry::MetricsSnapshot read_metrics(util::BinReader& r) {
   return m;
 }
 
-std::vector<std::byte> encode_binary(const Message& message) {
-  util::BinWriter w;
-  if (const auto* m = std::get_if<InitMsg>(&message)) {
-    w.u8(kTagInit);
-    w.str(m->app);
-    w.str(m->size_class);
-    w.str(m->store);
-    w.i32(m->kill_after_units);
-    write_deployment(w, m->config);
-  } else if (const auto* m = std::get_if<ReadyMsg>(&message)) {
-    w.u8(kTagReady);
-    write_metrics(w, m->metrics);
-  } else if (const auto* m = std::get_if<UnitMsg>(&message)) {
-    w.u8(kTagUnit);
-    w.u64(m->id);
-    w.u64(m->refs.size());
-    for (const harness::TrialRef& ref : m->refs) {
-      w.u64(ref.stratum);
-      w.u64(ref.index);
-      w.u64(ref.tag);
-    }
-  } else if (const auto* m = std::get_if<ResultMsg>(&message)) {
-    w.u8(kTagResult);
-    w.u64(m->id);
-    w.u64(m->outcomes.size());
-    for (const harness::TrialResult& t : m->outcomes) {
-      w.u8(static_cast<std::uint8_t>(t.outcome));
-      w.i32(t.contaminated);
-    }
-    w.f64(m->wall_seconds);
-    write_metrics(w, m->metrics);
-  } else if (const auto* m = std::get_if<ErrorMsg>(&message)) {
-    w.u8(kTagError);
-    w.str(m->message);
-  } else {
-    w.u8(kTagShutdown);
-  }
-  return std::move(w).take();
-}
+/// Encoded sizes of one TrialRef and one TrialResult: the floor each
+/// element count is checked against before a vector is sized by it.
+constexpr std::size_t kRefBytes = 3 * 8;
+constexpr std::size_t kOutcomeBytes = 1 + 4;
 
-Message decode_binary(std::span<const std::byte> payload) {
-  util::BinReader r(payload);
+Message decode_body(util::BinReader& r) {
   switch (r.u8()) {
     case kTagInit: {
       InitMsg m;
@@ -222,7 +200,7 @@ Message decode_binary(std::span<const std::byte> payload) {
     case kTagUnit: {
       UnitMsg m;
       m.id = r.u64();
-      m.refs.resize(r.u64());
+      m.refs.resize(r.count(kRefBytes));
       for (harness::TrialRef& ref : m.refs) {
         ref.stratum = r.u64();
         ref.index = r.u64();
@@ -233,9 +211,9 @@ Message decode_binary(std::span<const std::byte> payload) {
     case kTagResult: {
       ResultMsg m;
       m.id = r.u64();
-      m.outcomes.resize(r.u64());
+      m.outcomes.resize(r.count(kOutcomeBytes));
       for (harness::TrialResult& t : m.outcomes) {
-        t.outcome = static_cast<harness::Outcome>(r.u8());
+        t.outcome = checked_enum(r.u8(), harness::Outcome::Crash, "outcome");
         t.contaminated = r.i32();
       }
       m.wall_seconds = r.f64();
@@ -251,73 +229,6 @@ Message decode_binary(std::span<const std::byte> payload) {
   }
 }
 
-// ---- JSON message payloads (the pre-v2 frame shapes, kept verbatim) --------
-
-util::Json encode_json(const Message& message) {
-  util::JsonObject obj;
-  if (const auto* m = std::get_if<InitMsg>(&message)) {
-    obj["type"] = util::Json("init");
-    obj["app"] = util::Json(m->app);
-    obj["size_class"] = util::Json(m->size_class);
-    obj["config"] = deployment_to_json(m->config);
-    obj["store"] = util::Json(m->store);
-    obj["kill_after_units"] = util::Json(m->kill_after_units);
-  } else if (const auto* m = std::get_if<ReadyMsg>(&message)) {
-    obj["type"] = util::Json("ready");
-    obj["metrics"] = telemetry::metrics_to_json(m->metrics);
-  } else if (const auto* m = std::get_if<UnitMsg>(&message)) {
-    obj["type"] = util::Json("unit");
-    obj["id"] = util::Json(static_cast<std::int64_t>(m->id));
-    obj["refs"] = refs_to_json(m->refs);
-  } else if (const auto* m = std::get_if<ResultMsg>(&message)) {
-    obj["type"] = util::Json("result");
-    obj["id"] = util::Json(static_cast<std::int64_t>(m->id));
-    obj["outcomes"] = results_to_json(m->outcomes);
-    obj["wall_seconds"] = util::Json(m->wall_seconds);
-    obj["metrics"] = telemetry::metrics_to_json(m->metrics);
-  } else if (const auto* m = std::get_if<ErrorMsg>(&message)) {
-    obj["type"] = util::Json("error");
-    obj["message"] = util::Json(m->message);
-  } else {
-    obj["type"] = util::Json("shutdown");
-  }
-  return util::Json(std::move(obj));
-}
-
-Message decode_json(const util::Json& json) {
-  const std::string type = json.at("type").as_string();
-  if (type == "init") {
-    InitMsg m;
-    m.app = json.at("app").as_string();
-    m.size_class = json.at("size_class").as_string();
-    m.config = deployment_from_json(json.at("config"));
-    m.store = json.at("store").as_string();
-    m.kill_after_units =
-        static_cast<int>(json.at("kill_after_units").as_int());
-    return m;
-  }
-  if (type == "ready") {
-    return ReadyMsg{telemetry::metrics_from_json(json.at("metrics"))};
-  }
-  if (type == "unit") {
-    UnitMsg m;
-    m.id = static_cast<std::uint64_t>(json.at("id").as_int());
-    m.refs = refs_from_json(json.at("refs"));
-    return m;
-  }
-  if (type == "result") {
-    ResultMsg m;
-    m.id = static_cast<std::uint64_t>(json.at("id").as_int());
-    m.outcomes = results_from_json(json.at("outcomes"));
-    m.wall_seconds = json.at("wall_seconds").as_double();
-    m.metrics = telemetry::metrics_from_json(json.at("metrics"));
-    return m;
-  }
-  if (type == "error") return ErrorMsg{json.at("message").as_string()};
-  if (type == "shutdown") return ShutdownMsg{};
-  throw std::runtime_error("shard: unknown message type: " + type);
-}
-
 const char* message_kind(const Message& message) {
   if (std::holds_alternative<InitMsg>(message)) return "init";
   if (std::holds_alternative<ReadyMsg>(message)) return "ready";
@@ -331,25 +242,15 @@ const char* message_kind(const Message& message) {
 /// writes itself instead of a bare "frame too large".
 std::string message_context(const Message& message) {
   std::string context = std::string("\"") + message_kind(message) + "\" frame";
-  if (const auto* m = std::get_if<UnitMsg>(&message)) {
-    context += " for unit " + std::to_string(m->id);
-  } else if (const auto* m = std::get_if<ResultMsg>(&message)) {
-    context += " for unit " + std::to_string(m->id);
+  if (const auto* unit = std::get_if<UnitMsg>(&message)) {
+    context += " for unit " + std::to_string(unit->id);
+  } else if (const auto* result = std::get_if<ResultMsg>(&message)) {
+    context += " for unit " + std::to_string(result->id);
   }
   return context;
 }
 
 }  // namespace
-
-const char* wire_format_name(WireFormat format) noexcept {
-  return format == WireFormat::Binary ? "binary" : "json";
-}
-
-WireFormat wire_format_from_runtime() {
-  if (!util::binio_host_supported()) return WireFormat::Json;
-  return util::RuntimeOptions::global().wire_binary ? WireFormat::Binary
-                                                    : WireFormat::Json;
-}
 
 void write_frame_bytes(int fd, std::span<const std::byte> payload,
                        const std::string& context) {
@@ -408,95 +309,113 @@ std::optional<util::Json> read_frame(int fd) {
                   payload->size()));
 }
 
-std::vector<std::byte> encode_handshake(WireFormat format) {
+std::vector<std::byte> encode_handshake() {
   util::BinWriter w;
   w.bytes(std::span<const std::byte>(
       reinterpret_cast<const std::byte*>(kHandshakeMagic),
       sizeof(kHandshakeMagic)));
   w.u32(kShardProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(format));
   return std::move(w).take();
 }
 
-std::optional<Handshake> parse_handshake(std::span<const std::byte> payload) {
+std::optional<std::uint32_t> parse_handshake(
+    std::span<const std::byte> payload) {
   if (payload.size() != kHandshakeSize ||
       std::memcmp(payload.data(), kHandshakeMagic, sizeof(kHandshakeMagic)) !=
           0) {
     return std::nullopt;
   }
   util::BinReader r(payload.subspan(sizeof(kHandshakeMagic)));
-  Handshake hs;
-  hs.version = r.u32();
-  const std::uint8_t format = r.u8();
-  if (format > static_cast<std::uint8_t>(WireFormat::Binary)) {
-    return std::nullopt;
-  }
-  hs.format = static_cast<WireFormat>(format);
-  return hs;
+  return r.u32();
 }
 
-void write_handshake(int fd, WireFormat format) {
-  write_frame_bytes(fd, encode_handshake(format), "handshake frame");
+void write_handshake(int fd) {
+  write_frame_bytes(fd, encode_handshake(), "handshake frame");
 }
 
-Handshake read_handshake(int fd, WireFormat expected) {
+void read_handshake(int fd) {
   const auto payload = read_frame_bytes(fd);
   if (!payload) {
     throw std::runtime_error("shard: peer closed before handshake");
   }
-  const auto hs = parse_handshake(*payload);
-  if (!hs) {
+  const auto version = parse_handshake(*payload);
+  if (!version) {
     throw std::runtime_error(
         "shard: peer did not send a protocol handshake (mixed binaries?)");
   }
-  if (hs->version != kShardProtocolVersion) {
+  if (*version != kShardProtocolVersion) {
     throw std::runtime_error(
-        "shard: peer speaks protocol version " + std::to_string(hs->version) +
+        "shard: peer speaks protocol version " + std::to_string(*version) +
         ", this binary speaks " + std::to_string(kShardProtocolVersion));
   }
-  if (hs->format != expected) {
-    throw std::runtime_error(
-        std::string("shard: wire format mismatch: peer uses ") +
-        wire_format_name(hs->format) + ", this side uses " +
-        wire_format_name(expected) +
-        " (RESILIENCE_WIRE differs between coordinator and worker?)");
+}
+
+std::vector<std::byte> encode_message(const Message& message) {
+  util::BinWriter w;
+  if (const auto* init = std::get_if<InitMsg>(&message)) {
+    w.u8(kTagInit);
+    w.str(init->app);
+    w.str(init->size_class);
+    w.str(init->store);
+    w.i32(init->kill_after_units);
+    write_deployment(w, init->config);
+  } else if (const auto* ready = std::get_if<ReadyMsg>(&message)) {
+    w.u8(kTagReady);
+    write_metrics(w, ready->metrics);
+  } else if (const auto* unit = std::get_if<UnitMsg>(&message)) {
+    w.u8(kTagUnit);
+    w.u64(unit->id);
+    w.u64(unit->refs.size());
+    for (const harness::TrialRef& ref : unit->refs) {
+      w.u64(ref.stratum);
+      w.u64(ref.index);
+      w.u64(ref.tag);
+    }
+  } else if (const auto* result = std::get_if<ResultMsg>(&message)) {
+    w.u8(kTagResult);
+    w.u64(result->id);
+    w.u64(result->outcomes.size());
+    for (const harness::TrialResult& t : result->outcomes) {
+      w.u8(static_cast<std::uint8_t>(t.outcome));
+      w.i32(t.contaminated);
+    }
+    w.f64(result->wall_seconds);
+    write_metrics(w, result->metrics);
+  } else if (const auto* error = std::get_if<ErrorMsg>(&message)) {
+    w.u8(kTagError);
+    w.str(error->message);
+  } else {
+    w.u8(kTagShutdown);
   }
-  return *hs;
+  return std::move(w).take();
 }
 
-std::vector<std::byte> encode_message(const Message& message,
-                                      WireFormat format) {
-  if (format == WireFormat::Binary) return encode_binary(message);
-  const std::string text = encode_json(message).dump();
-  const auto* p = reinterpret_cast<const std::byte*>(text.data());
-  return {p, p + text.size()};
+Message decode_message(std::span<const std::byte> payload) {
+  util::BinReader r(payload);
+  Message message = decode_body(r);
+  if (r.remaining() != 0) {
+    throw util::BinError("shard: " + std::to_string(r.remaining()) +
+                         " trailing byte(s) after a complete message");
+  }
+  return message;
 }
 
-Message decode_message(std::span<const std::byte> payload,
-                       WireFormat format) {
-  if (format == WireFormat::Binary) return decode_binary(payload);
-  return decode_json(util::Json::parse(std::string(
-      reinterpret_cast<const char*>(payload.data()), payload.size())));
+void write_message(int fd, const Message& message) {
+  write_frame_bytes(fd, encode_message(message), message_context(message));
 }
 
-void write_message(int fd, WireFormat format, const Message& message) {
-  write_frame_bytes(fd, encode_message(message, format),
-                    message_context(message));
-}
-
-std::optional<Message> read_message(int fd, WireFormat format) {
+std::optional<Message> read_message(int fd) {
   auto payload = read_frame_bytes(fd);
   if (!payload) return std::nullopt;
-  return decode_message(*payload, format);
+  return decode_message(*payload);
 }
 
 util::Json deployment_to_json(const harness::DeploymentConfig& config) {
   util::JsonObject obj;
   obj["nranks"] = util::Json(config.nranks);
   obj["errors_per_test"] = util::Json(config.errors_per_test);
-  // The wire carries the whole scenario unconditionally: the handshake's
-  // version gate already rules out pre-scenario peers, so no legacy shape
-  // to preserve here.
+  // The whole scenario descriptor, unconditionally (never the legacy
+  // kinds/pattern/regions triple).
   util::JsonObject sc;
   sc["domain"] = util::Json(static_cast<int>(config.scenario.domain));
   sc["pattern"] = util::Json(static_cast<int>(config.scenario.pattern));
@@ -563,54 +482,6 @@ harness::DeploymentConfig deployment_from_json(const util::Json& json) {
   ad.stratify = adj.at("stratify").as_bool();
   ad.deciles = static_cast<int>(adj.at("deciles").as_int());
   return config;
-}
-
-util::Json refs_to_json(const std::vector<harness::TrialRef>& refs) {
-  util::JsonArray arr;
-  arr.reserve(refs.size());
-  for (const harness::TrialRef& ref : refs) {
-    util::JsonObject obj;
-    obj["s"] = util::Json(ref.stratum);
-    obj["i"] = util::Json(ref.index);
-    obj["t"] = util::Json(ref.tag);
-    arr.push_back(util::Json(std::move(obj)));
-  }
-  return util::Json(std::move(arr));
-}
-
-std::vector<harness::TrialRef> refs_from_json(const util::Json& json) {
-  std::vector<harness::TrialRef> refs;
-  for (const auto& item : json.as_array()) {
-    harness::TrialRef ref;
-    ref.stratum = static_cast<std::uint64_t>(item.at("s").as_int());
-    ref.index = static_cast<std::uint64_t>(item.at("i").as_int());
-    ref.tag = static_cast<std::uint64_t>(item.at("t").as_int());
-    refs.push_back(ref);
-  }
-  return refs;
-}
-
-util::Json results_to_json(const std::vector<harness::TrialResult>& results) {
-  util::JsonArray arr;
-  arr.reserve(results.size());
-  for (const harness::TrialResult& r : results) {
-    util::JsonObject obj;
-    obj["o"] = util::Json(static_cast<int>(r.outcome));
-    obj["c"] = util::Json(r.contaminated);
-    arr.push_back(util::Json(std::move(obj)));
-  }
-  return util::Json(std::move(arr));
-}
-
-std::vector<harness::TrialResult> results_from_json(const util::Json& json) {
-  std::vector<harness::TrialResult> results;
-  for (const auto& item : json.as_array()) {
-    harness::TrialResult r;
-    r.outcome = static_cast<harness::Outcome>(item.at("o").as_int());
-    r.contaminated = static_cast<int>(item.at("c").as_int());
-    results.push_back(r);
-  }
-  return results;
 }
 
 }  // namespace resilience::shard

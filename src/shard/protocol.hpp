@@ -2,13 +2,11 @@
 //
 // Coordinator and workers exchange length-prefixed frames over a
 // Unix-domain socketpair: a 4-byte little-endian payload length followed
-// by the payload. Two payload encodings exist, selected by the
-// RESILIENCE_WIRE knob: "binary" (default) packs messages with the binio
-// writer, "json" is the UTF-8 JSON fallback. The first frame in each
-// direction is a fixed-layout handshake (magic, protocol version, wire
-// format) that both sides validate, so a coordinator and worker that
-// disagree — mixed binaries, or RESILIENCE_WIRE drift between spawn and
-// exec — reject each other with a clear error instead of misparsing.
+// by the payload. Every payload is a binio message; the wire has exactly
+// one encoding. The first frame in each direction is a fixed-layout
+// handshake (magic + protocol version) that both sides validate, so a
+// coordinator and worker from different binaries reject each other with
+// a clear error instead of misparsing.
 //
 // Message vocabulary:
 //   coordinator -> worker
@@ -23,6 +21,9 @@
 // Frames are capped at RESILIENCE_FRAME_CAP_MB (backstop against a
 // corrupted length prefix); oversize errors name the frame kind, unit id,
 // and byte count on the write side, and the configured cap on both.
+//
+// The study service's request API (write_frame/read_frame and the
+// deployment JSON codec) is external and stays JSON.
 #pragma once
 
 #include <cstdint>
@@ -38,22 +39,16 @@
 
 namespace resilience::shard {
 
-/// Payload encoding of the shard frames.
-enum class WireFormat : std::uint8_t { Json = 0, Binary = 1 };
-
-[[nodiscard]] const char* wire_format_name(WireFormat format) noexcept;
-
-/// Resolve RESILIENCE_WIRE (binary unless the host lacks binio support).
-[[nodiscard]] WireFormat wire_format_from_runtime();
-
-/// Bumped on any incompatible change to the handshake or either payload
+/// Bumped on any incompatible change to the handshake or the payload
 /// encoding; peers with different versions refuse to talk.
 /// v3: the deployment config carries the full FaultScenario descriptor
 /// (domain/pattern/arrival/kinds/regions/mtbf) instead of the legacy
 /// kinds/pattern/regions triple.
 /// v4: the deployment config no longer carries a deadlock timeout
 /// (simmpi detects deadlock deterministically).
-inline constexpr std::uint32_t kShardProtocolVersion = 4;
+/// v5: the handshake drops its wire-format byte (binary is the only
+/// encoding).
+inline constexpr std::uint32_t kShardProtocolVersion = 5;
 
 // ---- raw frames ------------------------------------------------------------
 
@@ -69,32 +64,27 @@ void write_frame_bytes(int fd, std::span<const std::byte> payload,
 /// mid-write) or a length prefix over the frame cap.
 [[nodiscard]] std::optional<std::vector<std::byte>> read_frame_bytes(int fd);
 
-/// JSON-frame convenience used by the study service (whose request API
-/// stays JSON regardless of RESILIENCE_WIRE).
+/// JSON frames of the study service's request API.
 void write_frame(int fd, const util::Json& message);
 [[nodiscard]] std::optional<util::Json> read_frame(int fd);
 
 // ---- handshake -------------------------------------------------------------
 
-struct Handshake {
-  std::uint32_t version = kShardProtocolVersion;
-  WireFormat format = WireFormat::Binary;
-};
-
-[[nodiscard]] std::vector<std::byte> encode_handshake(WireFormat format);
-/// Parse a payload as a handshake; nullopt when it is not one (wrong
-/// magic or size — e.g. an error frame from a bailing worker).
-[[nodiscard]] std::optional<Handshake> parse_handshake(
+[[nodiscard]] std::vector<std::byte> encode_handshake();
+/// Parse a payload as a handshake and return the protocol version it
+/// announces; nullopt when it is not one (wrong magic or size — e.g. an
+/// error frame from a bailing worker).
+[[nodiscard]] std::optional<std::uint32_t> parse_handshake(
     std::span<const std::byte> payload);
 
 /// Send this side's handshake (always the first frame written).
-void write_handshake(int fd, WireFormat format);
+void write_handshake(int fd);
 
-/// Read the peer's first frame and require a handshake matching
-/// `expected` in version and format; throws std::runtime_error naming
-/// the mismatch (including a peer that is not speaking the protocol at
-/// all, or a clean EOF).
-[[nodiscard]] Handshake read_handshake(int fd, WireFormat expected);
+/// Read the peer's first frame and require a handshake of this binary's
+/// protocol version; throws std::runtime_error naming the mismatch
+/// (including a peer that is not speaking the protocol at all, or a
+/// clean EOF).
+void read_handshake(int fd);
 
 // ---- messages --------------------------------------------------------------
 
@@ -132,30 +122,46 @@ using Message =
     std::variant<InitMsg, ReadyMsg, UnitMsg, ResultMsg, ErrorMsg, ShutdownMsg>;
 
 /// Encode/decode one message payload (no framing) — also the substrate of
-/// the serialization bench legs. decode_message throws std::runtime_error
-/// / util::BinError / util::JsonError on malformed payloads.
-[[nodiscard]] std::vector<std::byte> encode_message(const Message& message,
-                                                    WireFormat format);
-[[nodiscard]] Message decode_message(std::span<const std::byte> payload,
-                                     WireFormat format);
+/// the serialization bench legs. decode_message accepts exactly what
+/// encode_message produces: element counts are checked against the bytes
+/// left before anything is sized by them, enum fields are range-checked,
+/// and trailing bytes are rejected; anything else throws util::BinError.
+[[nodiscard]] std::vector<std::byte> encode_message(const Message& message);
+[[nodiscard]] Message decode_message(std::span<const std::byte> payload);
 
-void write_message(int fd, WireFormat format, const Message& message);
+void write_message(int fd, const Message& message);
 /// nullopt on clean EOF at a frame boundary.
-[[nodiscard]] std::optional<Message> read_message(int fd, WireFormat format);
+[[nodiscard]] std::optional<Message> read_message(int fd);
 
-// ---- JSON codecs (wire fallback + study service) ---------------------------
+// ---- study service JSON codec ----------------------------------------------
 
-/// Full-fidelity deployment config for the wire — unlike the campaign
-/// file schema this carries every execution-relevant field (hang budget,
-/// deadlock timeout, adaptive engine parameters), so a worker rebuilds
-/// the exact TrialSpace the coordinator planned against.
+/// Full-fidelity deployment config for the study service's request API —
+/// unlike the campaign file schema this carries every execution-relevant
+/// field (hang budget, adaptive engine parameters), so the service
+/// rebuilds the exact deployment the client planned.
 util::Json deployment_to_json(const harness::DeploymentConfig& config);
 harness::DeploymentConfig deployment_from_json(const util::Json& json);
 
-util::Json refs_to_json(const std::vector<harness::TrialRef>& refs);
-std::vector<harness::TrialRef> refs_from_json(const util::Json& json);
+// ---- perfbench compatibility shim ------------------------------------------
+//
+// perfbench/probes.cpp predates the single encoding and still spells the
+// frame codec with a format argument. These forwarders keep it building
+// unchanged; drop them with the next change that may edit perfbench/.
 
-util::Json results_to_json(const std::vector<harness::TrialResult>& results);
-std::vector<harness::TrialResult> results_from_json(const util::Json& json);
+enum class WireFormat : std::uint8_t { Binary };
+
+[[nodiscard]] inline WireFormat wire_format_from_runtime() noexcept {
+  return WireFormat::Binary;
+}
+
+[[nodiscard]] inline std::vector<std::byte> encode_message(
+    const Message& message, WireFormat /*format*/) {
+  return encode_message(message);
+}
+
+[[nodiscard]] inline Message decode_message(
+    std::span<const std::byte> payload, WireFormat /*format*/) {
+  return decode_message(payload);
+}
 
 }  // namespace resilience::shard

@@ -2,12 +2,13 @@
 //
 // `resilience_cli serve <socket>` turns the binary into a daemon that
 // accepts campaign requests over an AF_UNIX stream socket (the shard
-// protocol's length-prefixed framing, always JSON payloads — this is the
-// external request API, so RESILIENCE_WIRE does not apply), executes each —
-// sharded when the request or environment asks for it — and streams the
-// serialized CampaignResult back. Identical requests are served from an
-// in-memory cache: campaigns are deterministic in (app, config), so the
-// cached JSON is byte-for-byte what a re-run would produce.
+// protocol's length-prefixed framing with JSON payloads — this is the
+// external request API, unlike the binary coordinator/worker frames),
+// executes each — sharded when the request or environment asks for it —
+// and streams the serialized CampaignResult back. Identical requests are
+// served from an in-memory cache: campaigns are deterministic in (app,
+// config), so the cached JSON is byte-for-byte what a re-run would
+// produce.
 //
 // Request vocabulary (the "type" field):
 //   ping                          -> {type: "pong"}

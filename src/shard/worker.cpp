@@ -23,48 +23,17 @@ namespace resilience::shard {
 
 namespace {
 
-/// `wire` reports the format the worker will answer in: its own
-/// env-resolved format up front, switched to the negotiated one once the
-/// coordinator's handshake arrives — so even a handshake failure can be
-/// reported in frames the coordinator parses.
-void worker_loop(int fd, WireFormat* wire) {
+void worker_loop(int fd) {
   // The coordinator detects a dead worker by EOF; a worker writing into a
   // dead coordinator should get EPIPE (an exception), not a process kill.
   ::signal(SIGPIPE, SIG_IGN);
 
-  // Handshake: the coordinator speaks first. Validate version and that
-  // both sides resolved the same wire format, then echo our handshake so
-  // the coordinator can validate us symmetrically.
-  const WireFormat mine = *wire;
-  {
-    const auto payload = read_frame_bytes(fd);
-    if (!payload) return;  // coordinator went away before the handshake
-    const auto hs = parse_handshake(*payload);
-    if (!hs) {
-      throw std::runtime_error(
-          "shard worker: expected a protocol handshake (mixed binaries?)");
-    }
-    if (hs->version != kShardProtocolVersion) {
-      throw std::runtime_error(
-          "shard worker: coordinator speaks protocol version " +
-          std::to_string(hs->version) + ", this binary speaks " +
-          std::to_string(kShardProtocolVersion));
-    }
-    // Answer in the coordinator's format from here on: an error frame in
-    // our own format would just misparse on the other end.
-    *wire = hs->format;
-    if (hs->format != mine) {
-      throw std::runtime_error(
-          std::string("shard worker: wire format mismatch: coordinator "
-                      "uses ") +
-          wire_format_name(hs->format) + ", worker resolved " +
-          wire_format_name(mine) +
-          " (RESILIENCE_WIRE differs between coordinator and worker?)");
-    }
-  }
-  write_handshake(fd, mine);
+  // Handshake: the coordinator speaks first. Validate its version, then
+  // echo our handshake so the coordinator can validate us symmetrically.
+  read_handshake(fd);
+  write_handshake(fd);
 
-  auto init_msg = read_message(fd, mine);
+  auto init_msg = read_message(fd);
   if (!init_msg || !std::holds_alternative<InitMsg>(*init_msg)) {
     throw std::runtime_error("shard worker: expected init frame");
   }
@@ -92,11 +61,11 @@ void worker_loop(int fd, WireFormat* wire) {
   }
   const harness::TrialSpace space(*app, config, *golden);
 
-  write_message(fd, mine, ReadyMsg{init_scope.snapshot()});
+  write_message(fd, ReadyMsg{init_scope.snapshot()});
 
   int units_done = 0;
   while (true) {
-    const auto msg = read_message(fd, mine);
+    const auto msg = read_message(fd);
     if (!msg) return;  // coordinator went away: nothing left to do
     if (std::holds_alternative<ShutdownMsg>(*msg)) return;
     const auto* unit = std::get_if<UnitMsg>(&*msg);
@@ -125,7 +94,7 @@ void worker_loop(int fd, WireFormat* wire) {
     }
 
     result.metrics = unit_scope.snapshot();
-    write_message(fd, mine, result);
+    write_message(fd, result);
   }
 }
 
@@ -141,15 +110,14 @@ int maybe_worker_main(int argc, char** argv) {
     }
   }
   if (fd < 0) return -1;
-  WireFormat wire = wire_format_from_runtime();
   try {
-    worker_loop(fd, &wire);
+    worker_loop(fd);
     return 0;
   } catch (const std::exception& e) {
     // Best-effort error frame so the coordinator can log the cause; the
     // EOF that follows is what triggers its recovery path.
     try {
-      write_message(fd, wire, ErrorMsg{e.what()});
+      write_message(fd, ErrorMsg{e.what()});
     } catch (...) {
     }
     std::fprintf(stderr, "shard worker: %s\n", e.what());

@@ -100,45 +100,4 @@ util::Json metrics_to_json(const MetricsSnapshot& snapshot) {
                           {"histograms", std::move(histograms)}};
 }
 
-MetricsSnapshot metrics_from_json(const util::Json& json) {
-  if (json.at("schema").as_string() != "resilience-metrics/1") {
-    throw util::JsonError("unsupported metrics schema");
-  }
-  MetricsSnapshot snapshot;
-  for (const auto& [counter_name, value] : json.at("counters").as_object()) {
-    bool known = false;
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      if (counter_name == name(static_cast<Counter>(i))) {
-        snapshot.counters[i] = static_cast<std::uint64_t>(value.as_int());
-        known = true;
-        break;
-      }
-    }
-    if (!known) throw util::JsonError("unknown counter: " + counter_name);
-  }
-  for (const auto& [hist_name, value] : json.at("histograms").as_object()) {
-    bool known = false;
-    for (std::size_t i = 0; i < kHistogramCount; ++i) {
-      if (hist_name != name(static_cast<Histogram>(i))) continue;
-      const auto& buckets = value.at("buckets").as_array();
-      if (buckets.size() != kHistogramBuckets) {
-        throw util::JsonError("histogram has the wrong bucket count");
-      }
-      std::uint64_t total = 0;
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        snapshot.histograms[i].buckets[b] =
-            static_cast<std::uint64_t>(buckets[b].as_int());
-        total += snapshot.histograms[i].buckets[b];
-      }
-      if (total != static_cast<std::uint64_t>(value.at("total").as_int())) {
-        throw util::JsonError("histogram total does not match its buckets");
-      }
-      known = true;
-      break;
-    }
-    if (!known) throw util::JsonError("unknown histogram: " + hist_name);
-  }
-  return snapshot;
-}
-
 }  // namespace resilience::telemetry

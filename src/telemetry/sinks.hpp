@@ -68,11 +68,4 @@ class ChromeTraceSink : public TraceSink {
 ///        {"buckets": [...], "total": N}, ...}}     // non-empty only
 [[nodiscard]] util::Json metrics_to_json(const MetricsSnapshot& snapshot);
 
-/// Inverse of metrics_to_json — the shard wire protocol ships snapshots
-/// as JSON and the coordinator folds them back. Throws util::JsonError on
-/// an unknown counter/histogram name or a malformed document (both ends
-/// of the wire are the same binary, so drift is a bug, not a compat
-/// case).
-[[nodiscard]] MetricsSnapshot metrics_from_json(const util::Json& json);
-
 }  // namespace resilience::telemetry

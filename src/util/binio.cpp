@@ -5,10 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstring>
-#include <limits>
 
 namespace resilience::util {
 
@@ -74,11 +73,6 @@ std::uint32_t crc32(std::span<const std::byte> bytes,
   return c ^ 0xFFFFFFFFu;
 }
 
-bool binio_host_supported() noexcept {
-  return std::endian::native == std::endian::little && sizeof(double) == 8 &&
-         std::numeric_limits<double>::is_iec559;
-}
-
 void BinWriter::u32(std::uint32_t v) {
   buf_.push_back(static_cast<std::byte>(v & 0xffu));
   buf_.push_back(static_cast<std::byte>((v >> 8) & 0xffu));
@@ -109,9 +103,8 @@ void BinWriter::bytes(std::span<const std::byte> b) {
 }
 
 void BinWriter::u64_array(std::span<const std::uint64_t> a) {
-  // Raw memcpy is the point of the binary format, and it is only taken on
-  // binio_host_supported() hosts, where the in-memory layout already is
-  // the wire layout.
+  // Raw memcpy is the point of the binary format: the static_asserts in
+  // binio.hpp guarantee the in-memory layout already is the wire layout.
   const auto* p = reinterpret_cast<const std::byte*>(a.data());
   buf_.insert(buf_.end(), p, p + a.size_bytes());
 }
@@ -192,9 +185,12 @@ void BinReader::f64_array(std::span<double> out) {
   std::memcpy(out.data(), b.data(), b.size());
 }
 
-void BinReader::seek(std::size_t offset) {
-  if (offset > bytes_.size()) throw BinError("binio: seek past end of input");
-  pos_ = offset;
+std::size_t BinReader::count(std::size_t record_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / std::max<std::size_t>(record_bytes, 1)) {
+    throw BinError("binio: element count exceeds the remaining input");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 std::shared_ptr<MappedFile> MappedFile::open(const std::string& path) {

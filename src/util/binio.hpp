@@ -5,13 +5,16 @@
 // Scope is deliberately small: bounds-checked scalar and raw-array
 // encode/decode, an IEEE CRC32 for section checksums, and a read-only
 // mmap wrapper whose spans back the zero-copy checkpoint restore path.
-// Everything is little-endian on the wire; binio_host_supported() gates
-// the binary paths off (JSON fallback) on exotic hosts so a byte-order
-// assumption can never silently corrupt data.
+// Everything is little-endian on the wire, and the raw-array paths
+// memcpy the in-memory layout, so the host requirement (little-endian
+// integers, 8-byte IEC 559 doubles) is a compile-time assertion: a build
+// for any other host fails here instead of silently corrupting data.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -20,6 +23,11 @@
 #include <vector>
 
 namespace resilience::util {
+
+static_assert(std::endian::native == std::endian::little,
+              "binio encodings require a little-endian host");
+static_assert(sizeof(double) == 8 && std::numeric_limits<double>::is_iec559,
+              "binio encodings require 8-byte IEC 559 doubles");
 
 /// Malformed or truncated binary input. Callers treat it like JsonError:
 /// a store file raising it is corrupt (unlink + refill), a wire frame
@@ -34,11 +42,6 @@ class BinError : public std::runtime_error {
 /// split b = b1 + b2.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> bytes,
                                   std::uint32_t seed = 0) noexcept;
-
-/// True when this host can use the binary encodings directly: little-
-/// endian integers and 8-byte IEEE doubles. On other hosts the golden
-/// store and shard wire fall back to their JSON formats.
-[[nodiscard]] bool binio_host_supported() noexcept;
 
 /// Append-only little-endian encoder over a growable byte buffer.
 class BinWriter {
@@ -89,12 +92,15 @@ class BinReader {
   [[nodiscard]] std::span<const std::byte> bytes(std::size_t n);
   void u64_array(std::span<std::uint64_t> out);
   void f64_array(std::span<double> out);
+  /// Read a u64 element count whose records take at least `record_bytes`
+  /// each; throws BinError when that many records cannot fit in the
+  /// remaining input, so a corrupt count fails before anything is sized
+  /// by it.
+  [[nodiscard]] std::size_t count(std::size_t record_bytes);
 
-  [[nodiscard]] std::size_t offset() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return bytes_.size() - pos_;
   }
-  void seek(std::size_t offset);
 
  private:
   void need(std::size_t n) const;

@@ -13,6 +13,10 @@
 // set_*_enabled() runtime overrides in each layer still win over the
 // global options, preserving the existing precedence:
 //   programmatic override > RuntimeOptions (env) > built-in default.
+//
+// Process-internal encodings have no knob: the shard wire speaks binio
+// frames only and the golden store reads and writes golden-v2 files only
+// (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -71,20 +75,11 @@ struct RuntimeOptions {
   /// first incarnation SIGKILLs itself after completing this many units.
   /// -1 = off.
   int shard_kill_unit = -1;
-  /// RESILIENCE_WIRE — shard frame encoding: "binary" (default) for the
-  /// compact binio frames, "json" for the length-prefixed JSON fallback.
-  /// Coordinator and workers must agree; the protocol handshake rejects
-  /// mismatched peers.
-  bool wire_binary = true;
   /// RESILIENCE_FRAME_CAP_MB — largest shard frame either side will
   /// write or accept, in MiB. A backstop against corrupted length
   /// prefixes; raise it for apps whose metrics/result payloads
   /// legitimately exceed the default.
   std::size_t frame_cap_mb = 256;
-  /// RESILIENCE_STORE_FORMAT — golden-store write format: "binary"
-  /// (default) writes golden-v2 files (mmap zero-copy loads), "json"
-  /// writes the v1 JSON files. Loads accept both regardless.
-  bool store_binary = true;
   /// RESILIENCE_SCENARIO — default fault-scenario catalog entry for the
   /// CLI and benches ("" = "paper", the pre-catalog behaviour). See
   /// `resilience scenarios` for the catalog.

@@ -1,16 +1,20 @@
-// Golden-run serialization + the on-disk GoldenStore: full-fidelity
-// round trips (profiles, signature, checkpoints with base64 rank state),
-// byte-stable re-serialization, and the store's miss/fill/hit and
-// corruption-recovery behavior.
+// The on-disk GoldenStore and campaign serialization: golden-v2
+// full-fidelity round trips (profiles, signature, checkpoints with their
+// rank state), byte-stable campaign re-serialization, and the store's
+// miss/fill/hit and corruption-recovery behavior, hostile files included.
 #include <unistd.h>
 
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "../binary_mutations.hpp"
 
 #include "apps/app.hpp"
 #include "harness/campaign.hpp"
@@ -20,7 +24,6 @@
 #include "harness/runner.hpp"
 #include "harness/serialize.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/encoding.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -38,55 +41,23 @@ std::string fresh_dir(const std::string& tag) {
   return dir.string();
 }
 
+std::vector<std::byte> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto* p = reinterpret_cast<const std::byte*>(text.data());
+  return {p, p + text.size()};
+}
+
+void write_bytes(const std::string& path, std::span<const std::byte> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 harness::GoldenRun profile_cg(int nranks) {
   const auto app = apps::make_app(apps::AppId::CG);
   return harness::profile_app(*app, nranks);
-}
-
-TEST(GoldenJson, RoundTripPreservesEverything) {
-  const harness::GoldenRun golden = profile_cg(2);
-  ASSERT_NE(golden.checkpoints, nullptr);  // CG has boundary hooks
-
-  const util::Json json = harness::golden_to_json(golden);
-  const harness::GoldenRun back =
-      harness::golden_from_json(util::Json::parse(json.dump()));
-
-  EXPECT_EQ(back.signature, golden.signature);  // bit-exact doubles
-  EXPECT_EQ(back.max_rank_ops, golden.max_rank_ops);
-  ASSERT_EQ(back.profiles.size(), golden.profiles.size());
-  for (std::size_t r = 0; r < golden.profiles.size(); ++r) {
-    EXPECT_EQ(back.profiles[r], golden.profiles[r]) << r;
-  }
-
-  ASSERT_NE(back.checkpoints, nullptr);
-  const auto& a = *golden.checkpoints;
-  const auto& b = *back.checkpoints;
-  EXPECT_EQ(b.nranks, a.nranks);
-  EXPECT_EQ(b.iterations, a.iterations);
-  EXPECT_EQ(b.signature, a.signature);
-  ASSERT_EQ(b.boundaries.size(), a.boundaries.size());
-  for (std::size_t i = 0; i < a.boundaries.size(); ++i) {
-    EXPECT_EQ(b.boundaries[i].iter, a.boundaries[i].iter);
-    EXPECT_EQ(b.boundaries[i].profiles, a.boundaries[i].profiles);
-    EXPECT_EQ(b.boundaries[i].digests, a.boundaries[i].digests);
-    ASSERT_EQ(b.boundaries[i].state.size(), a.boundaries[i].state.size());
-    for (std::size_t r = 0; r < a.boundaries[i].state.size(); ++r) {
-      EXPECT_EQ(b.boundaries[i].state[r], a.boundaries[i].state[r]);
-    }
-  }
-}
-
-// serialize -> parse -> serialize must be byte-stable: the shard workers'
-// store loads and the coordinator's fill must agree on one canonical
-// form, and repeated store rewrites must not churn the file.
-TEST(GoldenJson, ReserializationIsByteStable) {
-  const harness::GoldenRun golden = profile_cg(2);
-  const std::string once = harness::golden_to_json(golden).dump();
-  const std::string twice =
-      harness::golden_to_json(
-          harness::golden_from_json(util::Json::parse(once)))
-          .dump();
-  EXPECT_EQ(once, twice);
 }
 
 TEST(CampaignJson, ReserializationIsByteStable) {
@@ -100,24 +71,6 @@ TEST(CampaignJson, ReserializationIsByteStable) {
       harness::to_json(harness::campaign_from_json(util::Json::parse(once)))
           .dump();
   EXPECT_EQ(once, twice);
-}
-
-TEST(Base64, RandomBlobsRoundTrip) {
-  util::Xoshiro256 rng(20180813);
-  for (std::size_t len = 0; len < 70; ++len) {
-    std::vector<std::byte> blob(len);
-    for (auto& b : blob) b = static_cast<std::byte>(rng.next() & 0xff);
-    const std::string text = util::base64_encode(blob);
-    EXPECT_EQ(text.size() % 4, 0u) << len;
-    EXPECT_EQ(util::base64_decode(text), blob) << len;
-  }
-}
-
-TEST(Base64, RejectsMalformedInput) {
-  EXPECT_THROW((void)util::base64_decode("abc"), std::invalid_argument);
-  EXPECT_THROW((void)util::base64_decode("ab=c"), std::invalid_argument);
-  EXPECT_THROW((void)util::base64_decode("a#bc"), std::invalid_argument);
-  EXPECT_EQ(util::base64_decode("").size(), 0u);
 }
 
 TEST(GoldenStore, MissFillHit) {
@@ -160,9 +113,9 @@ TEST(GoldenStore, CorruptFileIsUnlinkedAndRefilled) {
   const std::string path = store.path_for(*app, 2);
   ASSERT_TRUE(std::filesystem::exists(path));
 
-  {  // not JSON at all
+  {  // not a golden-v2 file at all
     std::ofstream out(path, std::ios::trunc);
-    out << "not json {{{";
+    out << "not a store file";
   }
   EXPECT_EQ(store.load(*app, 2), nullptr);
   EXPECT_FALSE(std::filesystem::exists(path)) << "corrupt file not unlinked";
@@ -174,13 +127,8 @@ TEST(GoldenStore, CorruptFileIsUnlinkedAndRefilled) {
   EXPECT_EQ(profiles, 2);  // clean refill after the corruption
   ASSERT_TRUE(std::filesystem::exists(path));
 
-  {  // valid JSON, truncated mid-document
-    std::ifstream in(path);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    std::ofstream out(path, std::ios::trunc);
-    out << text.substr(0, text.size() / 2);
-  }
+  const auto bytes = read_bytes(path);  // a valid file, truncated
+  write_bytes(path, std::span(bytes).first(bytes.size() / 2));
   EXPECT_EQ(store.load(*app, 2), nullptr);
   EXPECT_FALSE(std::filesystem::exists(path));
   std::filesystem::remove_all(dir);
@@ -240,8 +188,9 @@ TEST(GoldenStore, LoadedGoldenReproducesCampaign) {
 
 void expect_same_golden(const harness::GoldenRun& a,
                         const harness::GoldenRun& b) {
-  EXPECT_EQ(b.signature, a.signature);
+  EXPECT_EQ(b.signature, a.signature);  // bit-exact doubles
   EXPECT_EQ(b.max_rank_ops, a.max_rank_ops);
+  EXPECT_EQ(b.recv_reals, a.recv_reals);
   ASSERT_EQ(b.profiles.size(), a.profiles.size());
   for (std::size_t r = 0; r < a.profiles.size(); ++r) {
     EXPECT_EQ(b.profiles[r], a.profiles[r]) << r;
@@ -252,6 +201,7 @@ void expect_same_golden(const harness::GoldenRun& a,
   const auto& cb = *b.checkpoints;
   EXPECT_EQ(cb.nranks, ca.nranks);
   EXPECT_EQ(cb.iterations, ca.iterations);
+  EXPECT_EQ(cb.state_reals, ca.state_reals);
   EXPECT_EQ(cb.signature, ca.signature);
   ASSERT_EQ(cb.final_profiles.size(), ca.final_profiles.size());
   for (std::size_t r = 0; r < ca.final_profiles.size(); ++r) {
@@ -269,40 +219,12 @@ void expect_same_golden(const harness::GoldenRun& a,
   }
 }
 
-// The binary and JSON stores must serve the exact same golden run — and
-// their loads must re-serialize to byte-identical JSON, the property the
-// wire/store cross-checks in CI build on.
-TEST(GoldenStoreBinary, BinaryAndJsonStoresServeIdenticalGolden) {
-  const harness::GoldenRun golden = profile_cg(2);
-  ASSERT_NE(golden.checkpoints, nullptr);
-  const auto app = apps::make_app(apps::AppId::CG);
-
-  const std::string bin_dir = fresh_dir("fmt-bin");
-  const std::string json_dir = fresh_dir("fmt-json");
-  harness::GoldenStore bin_store(bin_dir, harness::StoreFormat::BinaryV2);
-  harness::GoldenStore json_store(json_dir, harness::StoreFormat::JsonV1);
-  bin_store.put(*app, 2, golden);
-  json_store.put(*app, 2, golden);
-
-  const auto from_bin = bin_store.load(*app, 2);
-  const auto from_json = json_store.load(*app, 2);
-  ASSERT_NE(from_bin, nullptr);
-  ASSERT_NE(from_json, nullptr);
-  expect_same_golden(golden, *from_bin);
-  expect_same_golden(golden, *from_json);
-  EXPECT_EQ(harness::golden_to_json(*from_bin).dump(),
-            harness::golden_to_json(*from_json).dump());
-
-  std::filesystem::remove_all(bin_dir);
-  std::filesystem::remove_all(json_dir);
-}
-
 TEST(GoldenStoreBinary, RoundTripsGoldenWithoutCheckpoints) {
   harness::GoldenRun golden = profile_cg(2);
   golden.checkpoints = nullptr;  // apps without boundary hooks
   const auto app = apps::make_app(apps::AppId::CG);
   const std::string dir = fresh_dir("no-ckpt");
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+  harness::GoldenStore store(dir);
   store.put(*app, 2, golden);
   const auto back = store.load(*app, 2);
   ASSERT_NE(back, nullptr);
@@ -316,7 +238,7 @@ TEST(GoldenStoreBinary, RoundTripsGoldenWithoutCheckpoints) {
 TEST(GoldenStoreBinary, LoadedStateIsBorrowedFromTheMapping) {
   const auto app = apps::make_app(apps::AppId::CG);
   const std::string dir = fresh_dir("borrow");
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+  harness::GoldenStore store(dir);
   store.put(*app, 2, profile_cg(2));
   const auto back = store.load(*app, 2);
   ASSERT_NE(back, nullptr);
@@ -335,14 +257,15 @@ TEST(GoldenStoreBinary, LoadedStateIsBorrowedFromTheMapping) {
 }
 
 // A borrowed golden must outlive both the store object and the file's
-// directory entry: the mapping pins the inode.
+// directory entry: the mapping pins the inode. Also the field-by-field
+// round trip of a checkpointed golden run through the store.
 TEST(GoldenStoreBinary, LoadedGoldenSurvivesStoreAndFileRemoval) {
   const auto app = apps::make_app(apps::AppId::CG);
   const harness::GoldenRun golden = profile_cg(2);
   const std::string dir = fresh_dir("pin");
   std::shared_ptr<const harness::GoldenRun> back;
   {
-    harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+    harness::GoldenStore store(dir);
     store.put(*app, 2, golden);
     back = store.load(*app, 2);
     ASSERT_NE(back, nullptr);
@@ -358,7 +281,7 @@ TEST(GoldenStoreBinary, BitFlippedFileIsUnlinkedAndRefilled) {
   int profiles = 0;
   {
     telemetry::ScopeGuard guard(&metrics);
-    harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+    harness::GoldenStore store(dir);
     (void)store.load_or_fill(*app, 2, [&] {
       ++profiles;
       return profile_cg(2);
@@ -368,16 +291,10 @@ TEST(GoldenStoreBinary, BitFlippedFileIsUnlinkedAndRefilled) {
 
     // Flip one bit in the middle of the section data: the section CRC
     // must catch it, unlink the file, and report a miss.
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
+    auto bytes = read_bytes(path);
     ASSERT_GT(bytes.size(), 100u);
-    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
+    bytes[bytes.size() / 2] ^= std::byte{0x01};
+    write_bytes(path, bytes);
     EXPECT_EQ(store.load(*app, 2), nullptr);
     EXPECT_FALSE(std::filesystem::exists(path)) << "corrupt v2 not unlinked";
 
@@ -395,98 +312,96 @@ TEST(GoldenStoreBinary, BitFlippedFileIsUnlinkedAndRefilled) {
 TEST(GoldenStoreBinary, TruncatedFileIsUnlinkedAndRefilled) {
   const auto app = apps::make_app(apps::AppId::CG);
   const std::string dir = fresh_dir("trunc-bin");
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+  harness::GoldenStore store(dir);
   store.put(*app, 2, profile_cg(2));
   const std::string path = store.path_for(*app, 2);
 
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
+  const auto bytes = read_bytes(path);
+  write_bytes(path, std::span(bytes).first(bytes.size() / 2));
   EXPECT_EQ(store.load(*app, 2), nullptr);
   EXPECT_FALSE(std::filesystem::exists(path));
   std::filesystem::remove_all(dir);
 }
 
-// A store directory carrying a pre-upgrade v1 JSON file: the binary-format
-// store reads it once, rewrites the key as v2, and removes the v1 file.
-TEST(GoldenStoreBinary, V1FileIsReadOnceAndRewrittenAsV2) {
+// Only `-v2.bin` files are store files: a leftover golden-v1 JSON file
+// under the same key is never opened, so it neither serves a hit nor
+// counts as a corrupt file to unlink.
+TEST(GoldenStoreBinary, StrayV1FileIsNeverOpened) {
   const auto app = apps::make_app(apps::AppId::CG);
-  const harness::GoldenRun golden = profile_cg(2);
-  const std::string dir = fresh_dir("upgrade");
-  {
-    harness::GoldenStore v1_store(dir, harness::StoreFormat::JsonV1);
-    v1_store.put(*app, 2, golden);
-  }
-  harness::GoldenStore store(dir, harness::StoreFormat::BinaryV2);
+  const std::string dir = fresh_dir("stray-v1");
+  harness::GoldenStore store(dir);
+  const std::string v2_path = store.path_for(*app, 2);
   const std::string v1_path =
-      store.path_for(*app, 2, harness::StoreFormat::JsonV1);
-  const std::string v2_path =
-      store.path_for(*app, 2, harness::StoreFormat::BinaryV2);
-  ASSERT_TRUE(std::filesystem::exists(v1_path));
-  ASSERT_FALSE(std::filesystem::exists(v2_path));
-
-  const auto first = store.load(*app, 2);  // v1 hit + upgrade
-  ASSERT_NE(first, nullptr);
-  expect_same_golden(golden, *first);
-  EXPECT_TRUE(std::filesystem::exists(v2_path)) << "v1 hit not rewritten";
-  EXPECT_FALSE(std::filesystem::exists(v1_path)) << "stale v1 left behind";
-
-  const auto second = store.load(*app, 2);  // now served from v2
-  ASSERT_NE(second, nullptr);
-  expect_same_golden(golden, *second);
+      v2_path.substr(0, v2_path.rfind("-v2.bin")) + "-v1.json";
+  {
+    std::ofstream out(v1_path);
+    out << "{\"schema\": \"resilience-golden-store/1\"}\n";
+  }
+  telemetry::MetricScope metrics;
+  {
+    telemetry::ScopeGuard guard(&metrics);
+    EXPECT_EQ(store.load(*app, 2), nullptr);
+  }
+  EXPECT_TRUE(std::filesystem::exists(v1_path));
+  EXPECT_EQ(metrics.snapshot().value(telemetry::Counter::GoldenStoreRefills),
+            0u);
   std::filesystem::remove_all(dir);
 }
 
-// And the reverse knob: a JSON-format store keeps serving an existing v2
-// file (reads try v2 first regardless of the write format).
-TEST(GoldenStoreBinary, JsonWriteFormatStillReadsV2Files) {
+// A few thousand fixed-seed mutations of one golden-v2 file written by
+// put (bit flips, truncations, inflated counts, random bytes), plus every
+// byte of the header and section table overwritten with random values:
+// each file must load either as a miss that unlinks it and counts a
+// refill, or as the original golden run — never as a different run, never
+// a crash.
+TEST(GoldenStoreBinary, MutatedFilesLoadAsMissOrAsTheOriginal) {
   const auto app = apps::make_app(apps::AppId::CG);
   const harness::GoldenRun golden = profile_cg(2);
-  const std::string dir = fresh_dir("mixed");
-  {
-    harness::GoldenStore v2_store(dir, harness::StoreFormat::BinaryV2);
-    v2_store.put(*app, 2, golden);
-  }
-  harness::GoldenStore store(dir, harness::StoreFormat::JsonV1);
-  const auto back = store.load(*app, 2);
-  ASSERT_NE(back, nullptr);
-  expect_same_golden(golden, *back);
-  std::filesystem::remove_all(dir);
-}
+  ASSERT_NE(golden.checkpoints, nullptr);
+  const std::string dir = fresh_dir("mutate");
+  harness::GoldenStore store(dir);
+  store.put(*app, 2, golden);
+  const std::string path = store.path_for(*app, 2);
+  const std::vector<std::byte> valid = read_bytes(path);
 
-// Store format must not leak into campaign results: both formats drive a
-// campaign to the byte-identical saved JSON of an in-memory golden run.
-TEST(GoldenStoreBinary, CampaignResultsAreByteIdenticalAcrossFormats) {
-  const auto app = apps::make_app(apps::AppId::CG);
-  harness::DeploymentConfig dep;
-  dep.nranks = 2;
-  dep.trials = 16;
-
-  auto baseline = harness::CampaignRunner::run(*app, dep);
-
-  auto run_with = [&](harness::StoreFormat format, const std::string& tag) {
-    const std::string dir = fresh_dir(tag);
-    harness::GoldenStore store(dir, format);
-    store.put(*app, 2, profile_cg(2));  // campaigns load, never profile
-    harness::GoldenCache cache(&store);
-    harness::CampaignContext context;
-    context.golden_cache = &cache;
-    auto result = harness::CampaignRunner::run(*app, dep, context);
-    std::filesystem::remove_all(dir);
-    return result;
+  std::size_t misses = 0;
+  const auto load_mutated = [&](std::span<const std::byte> bytes) {
+    write_bytes(path, bytes);
+    telemetry::MetricScope metrics;
+    std::shared_ptr<const harness::GoldenRun> back;  // unmapped per call
+    {
+      telemetry::ScopeGuard guard(&metrics);
+      back = store.load(*app, 2);
+    }
+    if (back == nullptr) {
+      ++misses;
+      EXPECT_FALSE(std::filesystem::exists(path));
+      EXPECT_EQ(
+          metrics.snapshot().value(telemetry::Counter::GoldenStoreRefills),
+          1u);
+    } else {
+      expect_same_golden(golden, *back);
+    }
   };
-  auto from_bin = run_with(harness::StoreFormat::BinaryV2, "cmp-bin");
-  auto from_json = run_with(harness::StoreFormat::JsonV1, "cmp-json");
 
-  baseline.wall_seconds = from_bin.wall_seconds = from_json.wall_seconds = 0.0;
-  const std::string want = harness::to_json(baseline).dump();
-  EXPECT_EQ(harness::to_json(from_bin).dump(), want);
-  EXPECT_EQ(harness::to_json(from_json).dump(), want);
+  util::Xoshiro256 rng(20180813);
+  for (int n = 0; n < 2000; ++n) {
+    load_mutated(test::mutate_encoding(valid, rng));
+    if (HasFailure()) FAIL() << "mutation " << n;
+  }
+  // 36-byte header + one 24-byte table entry per section (DESIGN.md §15).
+  const std::size_t structural = 36 + 3 * 24;
+  ASSERT_GT(valid.size(), structural);
+  for (std::size_t at = 0; at < structural; ++at) {
+    for (int n = 0; n < 4; ++n) {
+      auto bytes = valid;
+      bytes[at] = static_cast<std::byte>(rng.next() & 0xff);
+      load_mutated(bytes);
+      if (HasFailure()) FAIL() << "byte " << at;
+    }
+  }
+  EXPECT_GT(misses, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

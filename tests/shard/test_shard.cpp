@@ -1,36 +1,46 @@
-// Sharded campaign execution (DESIGN.md §13): wire protocol round trips,
-// coordinator/worker end-to-end determinism against the in-process
-// runner and against pinned saved-campaign fixtures, worker-crash
-// recovery, golden-store reuse, and the StudyService request dispatcher.
+// Sharded campaign execution (DESIGN.md §13): wire protocol round trips
+// and hostile-payload rejection, coordinator/worker end-to-end
+// determinism against the in-process runner and against pinned
+// saved-campaign fixtures, worker-crash and misbehaving-worker recovery,
+// golden-store reuse, and the StudyService request dispatcher.
 //
 // This binary has a custom main: the coordinator re-execs the test binary
 // itself as its worker processes (--shard-worker=<fd>), so main must
 // route to the worker loop before gtest ever sees argv.
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <typeinfo>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../binary_mutations.hpp"
+
 #include "apps/app.hpp"
 #include "fsefi/scenario.hpp"
 #include "harness/campaign.hpp"
 #include "harness/campaign_engine.hpp"
+#include "harness/golden_store.hpp"
 #include "harness/serialize.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/protocol.hpp"
 #include "shard/service.hpp"
 #include "shard/worker.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/binio.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -90,18 +100,9 @@ TEST(ShardProtocol, TruncatedFrameThrows) {
   ::close(sv[1]);
 }
 
-TEST(ShardProtocol, RefsKeepNoStratumAndConfigFullFidelity) {
-  const std::vector<harness::TrialRef> refs = {
-      {harness::kNoStratum, 3, 3}, {42, 7, 11}};
-  const auto back =
-      shard::refs_from_json(util::Json::parse(shard::refs_to_json(refs).dump()));
-  ASSERT_EQ(back.size(), refs.size());
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    EXPECT_EQ(back[i].stratum, refs[i].stratum);
-    EXPECT_EQ(back[i].index, refs[i].index);
-    EXPECT_EQ(back[i].tag, refs[i].tag);
-  }
-
+// The study service's request API carries the deployment as JSON, with
+// every execution-relevant field (adaptive engine parameters included).
+TEST(ShardProtocol, DeploymentJsonKeepsFullFidelity) {
   harness::DeploymentConfig dep = small_config(17);
   dep.errors_per_test = 2;
   dep.seed = 99;
@@ -116,9 +117,6 @@ TEST(ShardProtocol, RefsKeepNoStratumAndConfigFullFidelity) {
 
 // ---- binary wire protocol ---------------------------------------------
 
-const shard::WireFormat kBothFormats[] = {shard::WireFormat::Json,
-                                          shard::WireFormat::Binary};
-
 telemetry::MetricsSnapshot sample_metrics() {
   telemetry::MetricsSnapshot m;
   m.counters[0] = 7;
@@ -129,10 +127,7 @@ telemetry::MetricsSnapshot sample_metrics() {
   return m;
 }
 
-// Every message kind, both encodings: decode(encode(m)) == m, field by
-// field — including the adaptive engine parameters and kNoStratum refs
-// that only full-fidelity codecs preserve.
-TEST(ShardWire, EveryMessageKindRoundTripsInBothFormats) {
+shard::InitMsg sample_init() {
   shard::InitMsg init;
   init.app = "CG";
   init.size_class = "small";
@@ -145,122 +140,206 @@ TEST(ShardWire, EveryMessageKindRoundTripsInBothFormats) {
   init.config.adaptive.ci_half_width = 0.05;
   init.store = "/tmp/store";
   init.kill_after_units = 3;
+  return init;
+}
 
-  shard::UnitMsg unit;
-  unit.id = 12;
-  unit.refs = {{harness::kNoStratum, 3, 3}, {42, 7, 11}};
+shard::UnitMsg sample_unit() {
+  return {12, {{harness::kNoStratum, 3, 3}, {42, 7, 11}}};
+}
 
-  shard::ResultMsg result;
-  result.id = 12;
-  result.outcomes = {{harness::Outcome::Success, 0},
-                     {harness::Outcome::SDC, 5},
-                     {harness::Outcome::Failure, 2}};
-  result.wall_seconds = 1.25;
-  result.metrics = sample_metrics();
+shard::ResultMsg sample_result() {
+  return {12,
+          {{harness::Outcome::Success, 0},
+           {harness::Outcome::SDC, 5},
+           {harness::Outcome::Failure, 2}},
+          1.25,
+          sample_metrics()};
+}
 
-  for (const auto format : kBothFormats) {
-    SCOPED_TRACE(shard::wire_format_name(format));
+shard::Message round_trip(const shard::Message& message) {
+  return shard::decode_message(shard::encode_message(message));
+}
 
-    const auto init_back = shard::decode_message(
-        shard::encode_message(shard::Message(init), format), format);
-    const auto* i = std::get_if<shard::InitMsg>(&init_back);
-    ASSERT_NE(i, nullptr);
-    EXPECT_EQ(i->app, init.app);
-    EXPECT_EQ(i->size_class, init.size_class);
-    EXPECT_EQ(i->store, init.store);
-    EXPECT_EQ(i->kill_after_units, init.kill_after_units);
-    EXPECT_EQ(shard::deployment_to_json(i->config).dump(),
-              shard::deployment_to_json(init.config).dump());
-
-    const auto ready_back = shard::decode_message(
-        shard::encode_message(shard::Message(shard::ReadyMsg{sample_metrics()}),
-                              format),
-        format);
-    const auto* rd = std::get_if<shard::ReadyMsg>(&ready_back);
-    ASSERT_NE(rd, nullptr);
-    EXPECT_TRUE(rd->metrics.counters == sample_metrics().counters);
-    EXPECT_TRUE(rd->metrics.histograms == sample_metrics().histograms);
-
-    const auto unit_back = shard::decode_message(
-        shard::encode_message(shard::Message(unit), format), format);
-    const auto* u = std::get_if<shard::UnitMsg>(&unit_back);
-    ASSERT_NE(u, nullptr);
-    EXPECT_EQ(u->id, unit.id);
-    ASSERT_EQ(u->refs.size(), unit.refs.size());
-    for (std::size_t r = 0; r < unit.refs.size(); ++r) {
-      EXPECT_EQ(u->refs[r].stratum, unit.refs[r].stratum);
-      EXPECT_EQ(u->refs[r].index, unit.refs[r].index);
-      EXPECT_EQ(u->refs[r].tag, unit.refs[r].tag);
-    }
-
-    const auto result_back = shard::decode_message(
-        shard::encode_message(shard::Message(result), format), format);
-    const auto* res = std::get_if<shard::ResultMsg>(&result_back);
-    ASSERT_NE(res, nullptr);
-    EXPECT_EQ(res->id, result.id);
-    EXPECT_EQ(res->wall_seconds, result.wall_seconds);
-    ASSERT_EQ(res->outcomes.size(), result.outcomes.size());
-    for (std::size_t r = 0; r < result.outcomes.size(); ++r) {
-      EXPECT_EQ(res->outcomes[r].outcome, result.outcomes[r].outcome);
-      EXPECT_EQ(res->outcomes[r].contaminated, result.outcomes[r].contaminated);
-    }
-    EXPECT_TRUE(res->metrics.counters == result.metrics.counters);
-    EXPECT_TRUE(res->metrics.histograms == result.metrics.histograms);
-
-    const auto err_back = shard::decode_message(
-        shard::encode_message(shard::Message(shard::ErrorMsg{"boom"}), format),
-        format);
-    const auto* err = std::get_if<shard::ErrorMsg>(&err_back);
-    ASSERT_NE(err, nullptr);
-    EXPECT_EQ(err->message, "boom");
-
-    const auto down_back = shard::decode_message(
-        shard::encode_message(shard::Message(shard::ShutdownMsg{}), format),
-        format);
-    EXPECT_TRUE(std::holds_alternative<shard::ShutdownMsg>(down_back));
+/// Overwrite the little-endian u64 at `offset`.
+void patch_u64(std::vector<std::byte>& bytes, std::size_t offset,
+               std::uint64_t value) {
+  for (std::size_t b = 0; b < 8; ++b) {
+    bytes[offset + b] = static_cast<std::byte>((value >> (8 * b)) & 0xff);
   }
+}
+
+// UnitMsg and ResultMsg payloads open with tag (u8), id (u64), element
+// count (u64); a ResultMsg's first outcome byte follows the count.
+constexpr std::size_t kCountOffset = 1 + 8;
+constexpr std::size_t kFirstOutcomeOffset = kCountOffset + 8;
+
+// Every message kind: decode(encode(m)) == m, field by field — including
+// the adaptive engine parameters and kNoStratum refs that only a
+// full-fidelity codec preserves.
+TEST(ShardWire, EveryMessageKindRoundTrips) {
+  const shard::InitMsg init = sample_init();
+  const shard::UnitMsg unit = sample_unit();
+  const shard::ResultMsg result = sample_result();
+
+  const auto init_back = round_trip(init);
+  const auto* i = std::get_if<shard::InitMsg>(&init_back);
+  ASSERT_NE(i, nullptr);
+  EXPECT_EQ(i->app, init.app);
+  EXPECT_EQ(i->size_class, init.size_class);
+  EXPECT_EQ(i->store, init.store);
+  EXPECT_EQ(i->kill_after_units, init.kill_after_units);
+  EXPECT_EQ(shard::deployment_to_json(i->config).dump(),
+            shard::deployment_to_json(init.config).dump());
+
+  const auto ready_back = round_trip(shard::ReadyMsg{sample_metrics()});
+  const auto* rd = std::get_if<shard::ReadyMsg>(&ready_back);
+  ASSERT_NE(rd, nullptr);
+  EXPECT_TRUE(rd->metrics.counters == sample_metrics().counters);
+  EXPECT_TRUE(rd->metrics.histograms == sample_metrics().histograms);
+
+  const auto unit_back = round_trip(unit);
+  const auto* u = std::get_if<shard::UnitMsg>(&unit_back);
+  ASSERT_NE(u, nullptr);
+  EXPECT_EQ(u->id, unit.id);
+  ASSERT_EQ(u->refs.size(), unit.refs.size());
+  for (std::size_t r = 0; r < unit.refs.size(); ++r) {
+    EXPECT_EQ(u->refs[r].stratum, unit.refs[r].stratum);
+    EXPECT_EQ(u->refs[r].index, unit.refs[r].index);
+    EXPECT_EQ(u->refs[r].tag, unit.refs[r].tag);
+  }
+
+  const auto result_back = round_trip(result);
+  const auto* res = std::get_if<shard::ResultMsg>(&result_back);
+  ASSERT_NE(res, nullptr);
+  EXPECT_EQ(res->id, result.id);
+  EXPECT_EQ(res->wall_seconds, result.wall_seconds);
+  ASSERT_EQ(res->outcomes.size(), result.outcomes.size());
+  for (std::size_t r = 0; r < result.outcomes.size(); ++r) {
+    EXPECT_EQ(res->outcomes[r].outcome, result.outcomes[r].outcome);
+    EXPECT_EQ(res->outcomes[r].contaminated, result.outcomes[r].contaminated);
+  }
+  EXPECT_TRUE(res->metrics.counters == result.metrics.counters);
+  EXPECT_TRUE(res->metrics.histograms == result.metrics.histograms);
+
+  const auto err_back = round_trip(shard::ErrorMsg{"boom"});
+  const auto* err = std::get_if<shard::ErrorMsg>(&err_back);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->message, "boom");
+
+  EXPECT_TRUE(std::holds_alternative<shard::ShutdownMsg>(
+      round_trip(shard::ShutdownMsg{})));
+}
+
+// An element count the payload cannot hold must fail as a BinError before
+// any vector is sized by it: 2^61 used to escape as std::length_error
+// from resize, and 2^27 would have zero-filled gigabytes first.
+TEST(ShardWire, CountBeyondThePayloadIsRejected) {
+  for (const shard::Message& message :
+       {shard::Message(sample_unit()), shard::Message(sample_result())}) {
+    for (const int log2 : {61, 27}) {
+      auto bytes = shard::encode_message(message);
+      patch_u64(bytes, kCountOffset, std::uint64_t{1} << log2);
+      EXPECT_THROW((void)shard::decode_message(bytes), util::BinError)
+          << "count 2^" << log2;
+    }
+  }
+}
+
+// An outcome byte past Outcome::Crash would be counted as a trial with no
+// outcome bucket.
+TEST(ShardWire, OutOfRangeOutcomeIsRejected) {
+  auto bytes = shard::encode_message(sample_result());
+  bytes[kFirstOutcomeOffset] = std::byte{200};
+  EXPECT_THROW((void)shard::decode_message(bytes), util::BinError);
+}
+
+TEST(ShardWire, OutOfRangeDeploymentEnumsAreRejected) {
+  const shard::InitMsg init = sample_init();
+  // tag, three length-prefixed strings, kill_after_units, then the
+  // deployment: nranks, errors_per_test, domain, pattern, arrival (u8s),
+  // kinds, regions (u32s), mtbf, trials, seed, selection (u32).
+  const std::size_t deployment = 1 + (4 + init.app.size()) +
+                                 (4 + init.size_class.size()) +
+                                 (4 + init.store.size()) + 4;
+  const std::size_t domain = deployment + 8;
+  const std::size_t selection = domain + 3 + 4 + 4 + 8 + 8 + 8;
+  const auto valid = shard::encode_message(init);
+  for (const std::size_t at : {domain, domain + 1, domain + 2, selection}) {
+    auto bytes = valid;
+    bytes[at] = std::byte{200};
+    EXPECT_THROW((void)shard::decode_message(bytes), util::BinError) << at;
+  }
+}
+
+TEST(ShardWire, TrailingBytesAreRejected) {
+  for (const shard::Message& message :
+       {shard::Message(sample_init()), shard::Message(sample_unit()),
+        shard::Message(sample_result()), shard::Message(shard::ErrorMsg{"x"}),
+        shard::Message(shard::ShutdownMsg{})}) {
+    auto bytes = shard::encode_message(message);
+    bytes.push_back(std::byte{0});
+    EXPECT_THROW((void)shard::decode_message(bytes), util::BinError);
+  }
+}
+
+// A few thousand fixed-seed mutations of one valid encoding of every
+// message kind: each mutated payload either decodes or throws
+// util::BinError — nothing else (length_error, bad_alloc, a crash) may
+// escape the decoder. The handshake parser must never throw at all.
+TEST(ShardWire, MutatedFramesDecodeOrThrowBinError) {
+  const std::vector<std::pair<shard::Message, std::vector<std::size_t>>>
+      seeds = {
+          {sample_init(), {}},
+          {shard::ReadyMsg{sample_metrics()}, {}},
+          {sample_unit(), {kCountOffset}},
+          {sample_result(), {kCountOffset}},
+          {shard::ErrorMsg{"worker failed"}, {}},
+          {shard::ShutdownMsg{}, {}},
+      };
+  util::Xoshiro256 rng(20180813);
+  std::size_t rejected = 0;
+  for (const auto& [message, counts] : seeds) {
+    const auto valid = shard::encode_message(message);
+    for (int n = 0; n < 600; ++n) {
+      const auto bytes = test::mutate_encoding(valid, rng, counts);
+      try {
+        (void)shard::decode_message(bytes);
+      } catch (const util::BinError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        FAIL() << "mutation " << n << " of a " << valid.size()
+               << "-byte payload escaped as " << typeid(e).name() << ": "
+               << e.what();
+      }
+    }
+  }
+  const auto handshake = shard::encode_handshake();
+  for (int n = 0; n < 600; ++n) {
+    EXPECT_NO_THROW(
+        (void)shard::parse_handshake(test::mutate_encoding(handshake, rng)));
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ShardWire, HandshakeRoundTripsAndRejectsNonHandshakes) {
-  for (const auto format : kBothFormats) {
-    const auto payload = shard::encode_handshake(format);
-    const auto hs = shard::parse_handshake(payload);
-    ASSERT_TRUE(hs.has_value());
-    EXPECT_EQ(hs->version, shard::kShardProtocolVersion);
-    EXPECT_EQ(hs->format, format);
-  }
+  EXPECT_EQ(shard::parse_handshake(shard::encode_handshake()),
+            shard::kShardProtocolVersion);
   // An error frame from a bailing worker is not a handshake — nullopt,
   // not a throw, so the caller can decode it for its message.
-  const auto error_payload = shard::encode_message(
-      shard::Message(shard::ErrorMsg{"bad"}), shard::WireFormat::Binary);
+  const auto error_payload =
+      shard::encode_message(shard::Message(shard::ErrorMsg{"bad"}));
   EXPECT_FALSE(shard::parse_handshake(error_payload).has_value());
   EXPECT_FALSE(shard::parse_handshake({}).has_value());
-}
-
-TEST(ShardWire, ReadHandshakeRejectsFormatMismatchOverSocketpair) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  shard::write_handshake(sv[0], shard::WireFormat::Json);
-  try {
-    (void)shard::read_handshake(sv[1], shard::WireFormat::Binary);
-    FAIL() << "format mismatch not rejected";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("json"), std::string::npos) << what;
-    EXPECT_NE(what.find("binary"), std::string::npos) << what;
-  }
-  ::close(sv[0]);
-  ::close(sv[1]);
 }
 
 TEST(ShardWire, ReadHandshakeRejectsVersionMismatchOverSocketpair) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  auto payload = shard::encode_handshake(shard::WireFormat::Binary);
+  auto payload = shard::encode_handshake();
   payload[4] = std::byte{99};  // version field, little-endian low byte
   shard::write_frame_bytes(sv[0], payload, "test handshake");
   try {
-    (void)shard::read_handshake(sv[1], shard::WireFormat::Binary);
+    shard::read_handshake(sv[1]);
     FAIL() << "version mismatch not rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -283,12 +362,11 @@ TEST(ShardWire, FrameCapErrorNamesFrameKindUnitAndByteCount) {
 
   shard::UnitMsg unit;
   unit.id = 77;
-  unit.refs.resize(100'000);  // >1 MiB of refs in either encoding
+  unit.refs.resize(100'000);  // >1 MiB of refs
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   try {
-    shard::write_message(sv[0], shard::WireFormat::Binary,
-                         shard::Message(unit));
+    shard::write_message(sv[0], shard::Message(unit));
     FAIL() << "oversize frame not rejected";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -374,6 +452,133 @@ TEST(ShardCampaign, KilledWorkerRecoversBitIdentically) {
             1u);
 }
 
+// ---- misbehaving workers ------------------------------------------------
+//
+// The coordinator execs `worker_path` with argv[0] set to that path, so a
+// symlink to this test binary named "rogue-<once|always>-<mode>" turns
+// the worker into one that answers with a result frame the coordinator
+// must reject. A "once" rogue misbehaves only in the first process that
+// claims the marker file next to its symlink; the replacements behave.
+
+/// Each rogue mode and the cause the coordinator names for it when the
+/// rogue is the only worker of a four-unit, four-trials-per-unit campaign
+/// (so it holds unit 0 first).
+constexpr std::pair<const char*, const char*> kRogueModes[] = {
+    {"wrong-id", "result for unit 1 while unit 0 is in flight"},
+    {"wrong-count", "result for unit 0 carries 3 outcome(s) for 4 ref(s)"},
+    {"duplicate", "result for unit 0 while unit 1 is in flight"},
+    {"unsolicited", "from a worker with no unit in flight"},
+};
+
+/// Run the rogue worker when argv[0] names one; -1 otherwise.
+int maybe_rogue_worker_main(int argc, char** argv) {
+  constexpr std::string_view kFlag = "--shard-worker=";
+  if (argc < 2 || !std::string_view(argv[1]).starts_with(kFlag)) return -1;
+  const std::string self = argv[0];
+  const std::string name = std::filesystem::path(self).filename().string();
+  std::string mode;
+  if (name.starts_with("rogue-always-")) {
+    mode = name.substr(std::strlen("rogue-always-"));
+  } else if (name.starts_with("rogue-once-")) {
+    const int marker =
+        ::open((self + ".fired").c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+    if (marker < 0) return -1;  // a replacement: run the real worker
+    ::close(marker);
+    mode = name.substr(std::strlen("rogue-once-"));
+  } else {
+    return -1;
+  }
+  const int fd = std::atoi(argv[1] + kFlag.size());
+  try {
+    shard::read_handshake(fd);
+    shard::write_handshake(fd);
+    const auto init = std::get<shard::InitMsg>(*shard::read_message(fd));
+    if (mode == "unsolicited") {
+      // A result before the ready frame: no unit is in flight yet.
+      shard::write_message(fd, shard::ResultMsg{});
+    } else {
+      shard::write_message(fd, shard::ReadyMsg{});
+      const auto unit = std::get<shard::UnitMsg>(*shard::read_message(fd));
+      // Real outcomes, so only the framing is wrong.
+      const auto app =
+          apps::make_app(apps::parse_app_id(init.app), init.size_class);
+      harness::GoldenStore store(init.store);
+      const auto golden = store.load(*app, init.config.nranks);
+      const harness::TrialSpace space(*app, init.config, *golden);
+      shard::ResultMsg result;
+      result.id = unit.id;
+      for (const harness::TrialRef& ref : unit.refs) {
+        result.outcomes.push_back(space.run(ref));
+      }
+      if (mode == "wrong-id") result.id += 1;
+      if (mode == "wrong-count") result.outcomes.pop_back();
+      shard::write_message(fd, result);
+      if (mode == "duplicate") shard::write_message(fd, result);
+    }
+    while (shard::read_message(fd)) {
+    }  // until the coordinator kills us
+  } catch (const std::exception&) {
+  }
+  return 0;
+}
+
+/// A symlink to this test binary that the coordinator runs as the rogue
+/// worker `name` (see maybe_rogue_worker_main).
+std::string rogue_worker(const std::string& dir, const std::string& name) {
+  std::filesystem::create_directories(dir);
+  const auto link = std::filesystem::path(dir) / name;
+  std::filesystem::create_symlink(
+      std::filesystem::read_symlink("/proc/self/exe"), link);
+  return link.string();
+}
+
+// Result frames that do not answer the unit in flight on their worker — a
+// stray id, a wrong outcome count, a duplicate, a result before any unit —
+// never reach the tallies: the worker is replaced, its unit re-run, and
+// the campaign still saves the in-process bytes.
+TEST(ShardCampaign, MismatchedResultFramesAreRejectedAndReDispatched) {
+  const auto app = apps::make_app(apps::AppId::CG);
+  const harness::DeploymentConfig dep = small_config(16);
+  const std::string expected =
+      normalized_dump(harness::CampaignRunner::run(*app, dep));
+  const std::string dir = fresh_dir("rogue-once");
+  for (const auto& [mode, cause] : kRogueModes) {
+    SCOPED_TRACE(mode);
+    shard::ShardOptions opts;
+    opts.shards = 2;
+    opts.worker_path = rogue_worker(dir, std::string("rogue-once-") + mode);
+    const auto sharded = shard::run_sharded_campaign(*app, dep, opts);
+    EXPECT_EQ(normalized_dump(sharded), expected);
+    EXPECT_GE(sharded.metrics.value(telemetry::Counter::ShardWorkerRestarts),
+              1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// With no replacement allowed, the run fails and names the rejected frame.
+TEST(ShardCampaign, RejectedResultFrameIsNamedInTheError) {
+  const auto app = apps::make_app(apps::AppId::CG);
+  const harness::DeploymentConfig dep = small_config(16);
+  const std::string dir = fresh_dir("rogue-always");
+  for (const auto& [mode, cause] : kRogueModes) {
+    SCOPED_TRACE(mode);
+    shard::ShardOptions opts;
+    opts.shards = 1;
+    opts.max_worker_restarts = 0;
+    // A failed campaign leaves its golden store behind: keep it in `dir`.
+    opts.golden_store_dir = dir + "/store";
+    opts.worker_path = rogue_worker(dir, std::string("rogue-always-") + mode);
+    try {
+      (void)shard::run_sharded_campaign(*app, dep, opts);
+      ADD_FAILURE() << "bad result frame accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(cause), std::string::npos) << what;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardCampaign, GoldenStoreServesSecondInvocation) {
   const auto app = apps::make_app(apps::AppId::CG);
   const harness::DeploymentConfig dep = small_config(12);
@@ -393,49 +598,6 @@ TEST(ShardCampaign, GoldenStoreServesSecondInvocation) {
             0u);
   EXPECT_GE(second.metrics.value(telemetry::Counter::GoldenStoreHits), 3u);
   std::filesystem::remove_all(opts.golden_store_dir);
-}
-
-// The wire format is execution policy: a JSON-wire campaign must produce
-// the byte-identical saved JSON of a binary-wire one. Workers inherit
-// RESILIENCE_WIRE through the environment, so the env and opts.wire move
-// together here.
-TEST(ShardCampaign, JsonWireMatchesBinaryWireByteForByte) {
-  const auto app = apps::make_app(apps::AppId::CG);
-  const harness::DeploymentConfig dep = small_config(24);
-
-  shard::ShardOptions opts;
-  opts.shards = 2;
-  opts.wire = shard::WireFormat::Binary;
-  const auto over_binary = shard::run_sharded_campaign(*app, dep, opts);
-
-  ASSERT_EQ(::setenv("RESILIENCE_WIRE", "json", 1), 0);
-  opts.wire = shard::WireFormat::Json;
-  const auto over_json = shard::run_sharded_campaign(*app, dep, opts);
-  ASSERT_EQ(::unsetenv("RESILIENCE_WIRE"), 0);
-
-  EXPECT_EQ(normalized_dump(over_json), normalized_dump(over_binary));
-  EXPECT_TRUE(over_json.metrics.logical_equal(over_binary.metrics));
-}
-
-// RESILIENCE_WIRE drift between coordinator and worker: the handshake
-// rejects the pairing with a clear error instead of misparsing frames.
-TEST(ShardCampaign, WireFormatDriftIsRejectedByTheHandshake) {
-  const auto app = apps::make_app(apps::AppId::CG);
-  const harness::DeploymentConfig dep = small_config(8);
-
-  shard::ShardOptions opts;
-  opts.shards = 1;
-  opts.max_worker_restarts = 0;
-  opts.wire = shard::WireFormat::Binary;  // workers will resolve json
-  ASSERT_EQ(::setenv("RESILIENCE_WIRE", "json", 1), 0);
-  try {
-    (void)shard::run_sharded_campaign(*app, dep, opts);
-    FAIL() << "wire drift not rejected";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("wire format mismatch"), std::string::npos) << what;
-  }
-  ASSERT_EQ(::unsetenv("RESILIENCE_WIRE"), 0);
 }
 
 // Pinned fixtures: one saved campaign per valid (app, catalog scenario)
@@ -563,7 +725,8 @@ TEST(StudyService, CachesDeterministicCampaigns) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Worker re-exec path: must run before gtest touches the arguments.
+  // Worker re-exec paths: must run before gtest touches the arguments.
+  if (const int rc = maybe_rogue_worker_main(argc, argv); rc >= 0) return rc;
   if (const int rc = resilience::shard::maybe_worker_main(argc, argv);
       rc >= 0) {
     return rc;

@@ -56,17 +56,8 @@ Output:
                                    (hits + misses) of a sharded rerun
                                    against a persistent golden store —
                                    1.0 means nobody re-profiled
-                                 - serialization_speedup.{golden_save,
-                                   golden_load, frame_encode,
-                                   frame_decode}: JSON wall time / binary
-                                   wall time of the golden-store disk
-                                   round trip and the shard result-frame
-                                   codecs (bar: >= 3x on golden_load —
-                                   the mmap + CRC path vs JSON parse +
-                                   base64)
-                                 - golden_store_bytes.{json, binary}:
-                                   on-disk size of the same golden run in
-                                   each store format
+                                 - golden_store_bytes: on-disk size of
+                                   the bench's golden-v2 store file
 
 When any input dump carries a load_avg above its num_cpus the host was
 saturated while benching; the merge warns and stamps the output with
@@ -216,32 +207,11 @@ def derive_shard_metrics(intro):
 
 
 def derive_serialization_metrics(intro):
-    """Binary-vs-JSON ratios of the golden store and frame codec legs."""
-    serialization = intro.get("serialization", {})
-    store = serialization.get("golden_store", {})
-    frame = serialization.get("result_frame", {})
-    metrics = {}
-    speedup = {}
-
-    def ratio(legs, field):
-        json_leg = legs.get("json", {}).get(field)
-        bin_leg = legs.get("binary", {}).get(field)
-        return json_leg / bin_leg if json_leg and bin_leg else None
-
-    for key, legs, field in (("golden_save", store, "save_seconds"),
-                             ("golden_load", store, "load_seconds"),
-                             ("frame_encode", frame, "encode_seconds"),
-                             ("frame_decode", frame, "decode_seconds")):
-        value = ratio(legs, field)
-        if value is not None:
-            speedup[key] = value
-    if speedup:
-        metrics["serialization_speedup"] = speedup
-    sizes = {fmt: store[fmt]["file_bytes"] for fmt in ("json", "binary")
-             if store.get(fmt, {}).get("file_bytes")}
-    if sizes:
-        metrics["golden_store_bytes"] = sizes
-    return metrics
+    """On-disk size of the golden-store leg's golden-v2 file."""
+    store = intro.get("serialization", {}).get("golden_store", {})
+    if store.get("file_bytes"):
+        return {"golden_store_bytes": store["file_bytes"]}
+    return {}
 
 
 def check_host_load(merged, name, dump, fallback_cpus=None):
@@ -360,17 +330,9 @@ def main():
     hit_rate = metrics.get("golden_store_hit_rate")
     if hit_rate is not None:
         print(f"  golden-store reuse hit rate: {hit_rate:.0%}")
-    for label, ratio in sorted(
-            metrics.get("serialization_speedup", {}).items()):
-        bar = ""
-        if label == "golden_load" and ratio < 3.0:
-            bar = "  ** BELOW the >= 3x bar **"
-        print(f"  serialization speedup ({label}): {ratio:.2f}x{bar}")
-    sizes = metrics.get("golden_store_bytes", {})
-    if sizes.get("json") and sizes.get("binary"):
-        print(f"  golden store size: {sizes['json']} bytes JSON vs "
-              f"{sizes['binary']} bytes binary "
-              f"({sizes['json'] / sizes['binary']:.1f}x smaller)")
+    store_bytes = metrics.get("golden_store_bytes")
+    if store_bytes:
+        print(f"  golden store size: {store_bytes} bytes")
     return 0
 
 
