@@ -13,6 +13,7 @@
 #include "fsefi/real.hpp"
 #include "fsefi/transport.hpp"
 #include "simmpi/runtime.hpp"
+#include "simmpi/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -327,6 +328,38 @@ void BM_JobSpawnJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JobSpawnJoin)->Arg(2)->Arg(8)->Arg(32)->Arg(64);
+
+// Fiber switch cost: two fibers ping-pong through park/unpark on one
+// scheduler, so each handoff is a switch out to the run loop and a switch
+// into the peer. Reports ns per switch (the job launch is amortised over
+// kRounds handoffs per fiber).
+void BM_FiberSwitch(benchmark::State& state) {
+  using resilience::simmpi::FiberScheduler;
+  namespace detail = resilience::simmpi::detail;
+  constexpr int kRounds = 4096;
+  std::int64_t switches = 0;
+  for (auto _ : state) {
+    FiberScheduler sched(2, detail::resolved_fiber_stack_bytes());
+    detail::Fiber* fibers[2] = {nullptr, nullptr};
+    sched.run([&](int rank) {
+      fibers[rank] = FiberScheduler::current_fiber();
+      detail::Fiber* const& peer = fibers[1 - rank];  // null until it runs
+      for (int round = 0; round < kRounds; ++round) {
+        if (peer != nullptr) sched.unpark(peer);
+        sched.park();
+      }
+      sched.unpark(peer);
+    });
+    // Every resume is one switch in and one switch out; each fiber is
+    // resumed once to start and once per park.
+    switches += 2 * (2 * kRounds + 2);
+  }
+  // Seconds per switch; the console prints it with an SI prefix (ns).
+  state.counters["per_switch"] = benchmark::Counter(
+      static_cast<double>(switches),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FiberSwitch);
 
 void BM_PingPong(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

@@ -131,7 +131,8 @@ AdaptiveStats adaptive_from_json(const util::Json& json) {
       static_cast<std::size_t>(json.at("trials_requested").as_int());
   stats.trials_executed =
       static_cast<std::size_t>(json.at("trials_executed").as_int());
-  stats.stop_reason = static_cast<StopReason>(json.at("stop_reason").as_int());
+  stats.stop_reason =
+      json.at("stop_reason").as_enum(StopReason::TrialCap, "stop reason");
   stats.stratified = json.at("stratified").as_bool();
   stats.strata = static_cast<std::size_t>(json.at("strata").as_int());
   stats.success = interval_from_json(json.at("success"));
@@ -149,17 +150,17 @@ DeploymentConfig config_from_json(const util::Json& json) {
   cfg.errors_per_test = static_cast<int>(json.at("errors_per_test").as_int());
   cfg.trials = static_cast<std::size_t>(json.at("trials").as_int());
   cfg.seed = static_cast<std::uint64_t>(json.at("seed").as_int());
-  cfg.selection =
-      static_cast<TargetSelection>(json.at("selection").as_int());
+  cfg.selection = json.at("selection").as_enum(TargetSelection::UniformRank,
+                                               "target selection");
   const auto& obj = json.as_object();
   if (const auto it = obj.find("scenario"); it != obj.end()) {
     const auto& sc = it->second;
-    cfg.scenario.domain =
-        static_cast<fsefi::FaultDomain>(sc.at("domain").as_int());
-    cfg.scenario.pattern =
-        static_cast<fsefi::FaultPattern>(sc.at("pattern").as_int());
-    cfg.scenario.arrival =
-        static_cast<fsefi::ArrivalModel>(sc.at("arrival").as_int());
+    cfg.scenario.domain = sc.at("domain").as_enum(
+        fsefi::FaultDomain::ResidentState, "fault domain");
+    cfg.scenario.pattern = sc.at("pattern").as_enum(
+        fsefi::FaultPattern::RankCrash, "fault pattern");
+    cfg.scenario.arrival = sc.at("arrival").as_enum(
+        fsefi::ArrivalModel::PoissonTimeline, "arrival model");
     cfg.scenario.kinds = static_cast<fsefi::KindMask>(sc.at("kinds").as_int());
     cfg.scenario.regions =
         static_cast<fsefi::RegionMask>(sc.at("regions").as_int());
@@ -168,8 +169,8 @@ DeploymentConfig config_from_json(const util::Json& json) {
     // Pre-scenario file: the legacy triple is the whole description — an
     // implicit register-operand, fixed-arrival scenario.
     cfg.scenario.kinds = static_cast<fsefi::KindMask>(json.at("kinds").as_int());
-    cfg.scenario.pattern =
-        static_cast<fsefi::FaultPattern>(json.at("pattern").as_int());
+    cfg.scenario.pattern = json.at("pattern").as_enum(
+        fsefi::FaultPattern::RankCrash, "fault pattern");
     cfg.scenario.regions =
         static_cast<fsefi::RegionMask>(json.at("regions").as_int());
   }

@@ -77,7 +77,8 @@ class Coordinator {
         config_(config),
         opts_(opts),
         store_dir_(std::move(store_dir)),
-        metrics_(metrics) {
+        metrics_(metrics),
+        drill_armed_(opts.debug_kill_unit >= 0) {
     worker_path_ = opts.worker_path.empty() ? "/proc/self/exe"
                                             : opts.worker_path;
     workers_.resize(static_cast<std::size_t>(shards));
@@ -244,6 +245,10 @@ class Coordinator {
 
   void dispatch(std::size_t slot) {
     if (pending_.empty()) return;
+    // While the crash drill is armed only worker 0 receives units, so it
+    // dies after exactly debug_kill_unit results however fast the others
+    // start (otherwise a quick sibling could drain every unit first).
+    if (drill_armed_ && slot != 0) return;
     Worker& w = workers_[slot];
     const std::size_t id = pending_.front();
     pending_.pop_front();
@@ -387,6 +392,15 @@ class Coordinator {
       pending_.push_front(static_cast<std::size_t>(w.unit));
       w.unit = -1;
     }
+    if (drill_armed_ && slot == 0) {
+      // The drill fired (or its worker died first): hand the held-back
+      // units to the idle workers.
+      drill_armed_ = false;
+      for (std::size_t other = 1; other < workers_.size(); ++other) {
+        const Worker& o = workers_[other];
+        if (o.fd >= 0 && o.ready && o.unit < 0) dispatch(other);
+      }
+    }
     if (remaining_ == 0) return;
     if (restarts_used_ >= opts_.max_worker_restarts) return;
     restarts_used_ += 1;
@@ -408,7 +422,20 @@ class Coordinator {
   std::deque<std::size_t> pending_;
   std::size_t remaining_ = 0;
   int restarts_used_ = 0;
+  bool drill_armed_;  ///< worker 0's first incarnation still carries the drill
   std::string last_error_;
+};
+
+/// Removes the campaign's private temp golden store on every exit path,
+/// a campaign that throws included. An empty `dir` (a caller-owned
+/// store) is kept.
+struct TempStoreRemover {
+  std::string dir;
+  ~TempStoreRemover() {
+    if (dir.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
 };
 
 }  // namespace
@@ -440,11 +467,12 @@ harness::CampaignResult run_sharded_campaign(
   result.config = cfg;
 
   std::string store_dir = opts.golden_store_dir;
-  const bool temp_store = store_dir.empty();
-  if (temp_store) {
+  TempStoreRemover temp_store;
+  if (store_dir.empty()) {
     store_dir = (std::filesystem::temp_directory_path() /
                  ("resilience-shard-" + std::to_string(::getpid())))
                     .string();
+    temp_store.dir = store_dir;
   }
 
   {
@@ -543,10 +571,6 @@ harness::CampaignResult run_sharded_campaign(
   }  // ~Coordinator: shutdown frames, close, reap
 
   result.metrics = metrics.snapshot();
-  if (temp_store) {
-    std::error_code ec;
-    std::filesystem::remove_all(store_dir, ec);
-  }
   return result;
 }
 

@@ -32,8 +32,8 @@ struct ShardOptions {
   /// Worker processes. Values < 1 are treated as 1.
   int shards = 2;
   /// GoldenStore directory shared by coordinator and workers. Empty: a
-  /// private temp directory, removed when the campaign finishes (the
-  /// store then only de-duplicates the pre-pass within this run).
+  /// private temp directory, removed when the campaign returns or throws
+  /// (the store then only de-duplicates the pre-pass within this run).
   std::string golden_store_dir;
   /// Worker binary; empty re-executes this binary (/proc/self/exe).
   std::string worker_path;
@@ -45,7 +45,8 @@ struct ShardOptions {
   int max_worker_restarts = 8;
   /// Testing hook (RESILIENCE_SHARD_KILL): worker 0's first incarnation
   /// SIGKILLs itself after completing this many units, exercising the
-  /// recovery path. -1 = off.
+  /// recovery path; until it dies no other worker receives a unit. -1 =
+  /// off.
   int debug_kill_unit = -1;
 
   /// Resolve from RESILIENCE_SHARDS / RESILIENCE_GOLDEN_STORE /

@@ -451,12 +451,12 @@ harness::DeploymentConfig deployment_from_json(const util::Json& json) {
   config.errors_per_test =
       static_cast<int>(json.at("errors_per_test").as_int());
   const auto& sc = json.at("scenario");
-  config.scenario.domain =
-      static_cast<fsefi::FaultDomain>(sc.at("domain").as_int());
-  config.scenario.pattern =
-      static_cast<fsefi::FaultPattern>(sc.at("pattern").as_int());
-  config.scenario.arrival =
-      static_cast<fsefi::ArrivalModel>(sc.at("arrival").as_int());
+  config.scenario.domain = sc.at("domain").as_enum(
+      fsefi::FaultDomain::ResidentState, "fault domain");
+  config.scenario.pattern = sc.at("pattern").as_enum(
+      fsefi::FaultPattern::RankCrash, "fault pattern");
+  config.scenario.arrival = sc.at("arrival").as_enum(
+      fsefi::ArrivalModel::PoissonTimeline, "arrival model");
   config.scenario.kinds =
       static_cast<fsefi::KindMask>(sc.at("kinds").as_int());
   config.scenario.regions =
@@ -464,8 +464,8 @@ harness::DeploymentConfig deployment_from_json(const util::Json& json) {
   config.scenario.mtbf_factor = sc.at("mtbf_factor").as_double();
   config.trials = static_cast<std::size_t>(json.at("trials").as_int());
   config.seed = static_cast<std::uint64_t>(json.at("seed").as_int());
-  config.selection =
-      static_cast<harness::TargetSelection>(json.at("selection").as_int());
+  config.selection = json.at("selection").as_enum(
+      harness::TargetSelection::UniformRank, "target selection");
   config.hang_budget_factor = json.at("hang_budget_factor").as_double();
   config.hang_budget_slack =
       static_cast<std::uint64_t>(json.at("hang_budget_slack").as_int());

@@ -73,6 +73,18 @@ class Json {
     return get<JsonObject>("object");
   }
 
+  /// An enumerator of `Enum` stored as its integer value; throws
+  /// JsonError naming `field` unless it lies in [0, last].
+  template <typename Enum>
+  [[nodiscard]] Enum as_enum(Enum last, const char* field) const {
+    const std::int64_t raw = as_int();
+    if (raw < 0 || raw > static_cast<std::int64_t>(last)) {
+      throw JsonError(std::string(field) + " " + std::to_string(raw) +
+                      " out of range");
+    }
+    return static_cast<Enum>(raw);
+  }
+
   /// Object member access; throws JsonError when absent or not an object.
   [[nodiscard]] const Json& at(const std::string& key) const {
     const auto& obj = as_object();

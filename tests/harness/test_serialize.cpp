@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "apps/app.hpp"
 
@@ -92,6 +96,67 @@ TEST(Serialize, InconsistentCountsRejected) {
   obj["overall"] = util::Json(std::move(overall));
   EXPECT_THROW(campaign_from_json(util::Json(std::move(obj))),
                util::JsonError);
+}
+
+/// `json` with the value at the object path `path` set to `value`.
+util::Json with_int(const util::Json& json, std::span<const std::string> path,
+                    std::int64_t value) {
+  if (path.empty()) return util::Json(value);
+  util::JsonObject obj = json.as_object();
+  obj[path.front()] = with_int(obj.at(path.front()), path.subspan(1), value);
+  return util::Json(std::move(obj));
+}
+
+// Enums are range-checked on load: a raw cast of an out-of-range integer
+// would hand the runner an enumerator that does not exist.
+TEST(Serialize, OutOfRangeEnumsRejected) {
+  CampaignResult campaign = sample_campaign();
+  campaign.adaptive = AdaptiveStats{};
+  const util::Json legacy = to_json(campaign);
+  // The same file with a full scenario block (non-legacy scenarios).
+  util::JsonObject scenario;
+  scenario["domain"] = util::Json(0);
+  scenario["pattern"] = util::Json(0);
+  scenario["arrival"] = util::Json(0);
+  scenario["kinds"] = legacy.at("config").at("kinds");
+  scenario["regions"] = legacy.at("config").at("regions");
+  scenario["mtbf_factor"] = util::Json(1.0);
+  util::JsonObject config = legacy.at("config").as_object();
+  config["scenario"] = util::Json(std::move(scenario));
+  util::JsonObject obj = legacy.as_object();
+  obj["config"] = util::Json(std::move(config));
+  const util::Json full(std::move(obj));
+
+  struct Field {
+    const util::Json* file;
+    std::vector<std::string> path;
+    int last;
+  };
+  const Field fields[] = {
+      {&legacy, {"config", "selection"},
+       static_cast<int>(TargetSelection::UniformRank)},
+      {&legacy, {"config", "pattern"},
+       static_cast<int>(fsefi::FaultPattern::RankCrash)},
+      {&legacy, {"adaptive", "stop_reason"},
+       static_cast<int>(StopReason::TrialCap)},
+      {&full, {"config", "scenario", "domain"},
+       static_cast<int>(fsefi::FaultDomain::ResidentState)},
+      {&full, {"config", "scenario", "pattern"},
+       static_cast<int>(fsefi::FaultPattern::RankCrash)},
+      {&full, {"config", "scenario", "arrival"},
+       static_cast<int>(fsefi::ArrivalModel::PoissonTimeline)},
+  };
+  for (const Field& f : fields) {
+    SCOPED_TRACE(f.path.back());
+    EXPECT_NO_THROW(
+        (void)campaign_from_json(with_int(*f.file, f.path, f.last)));
+    for (const std::int64_t bad : {std::int64_t{f.last} + 1, std::int64_t{-1},
+                                   std::int64_t{1} << 40}) {
+      EXPECT_THROW((void)campaign_from_json(with_int(*f.file, f.path, bad)),
+                   util::JsonError)
+          << bad;
+    }
+  }
 }
 
 }  // namespace

@@ -12,10 +12,12 @@
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -113,6 +115,41 @@ TEST(ShardProtocol, DeploymentJsonKeepsFullFidelity) {
       util::Json::parse(shard::deployment_to_json(dep).dump()));
   EXPECT_EQ(shard::deployment_to_json(cfg_back).dump(),
             shard::deployment_to_json(dep).dump());
+}
+
+/// `json` with the value at the object path `path` set to `value`.
+util::Json with_int(const util::Json& json, std::span<const std::string> path,
+                    std::int64_t value) {
+  if (path.empty()) return util::Json(value);
+  util::JsonObject obj = json.as_object();
+  obj[path.front()] = with_int(obj.at(path.front()), path.subspan(1), value);
+  return util::Json(std::move(obj));
+}
+
+// StudyService requests carry the deployment as JSON: its enums are
+// range-checked like the binary frame's, never cast raw.
+TEST(ShardProtocol, OutOfRangeDeploymentJsonEnumsAreRejected) {
+  const util::Json json = shard::deployment_to_json(small_config(17));
+  const std::pair<std::vector<std::string>, int> fields[] = {
+      {{"selection"}, static_cast<int>(harness::TargetSelection::UniformRank)},
+      {{"scenario", "domain"},
+       static_cast<int>(fsefi::FaultDomain::ResidentState)},
+      {{"scenario", "pattern"},
+       static_cast<int>(fsefi::FaultPattern::RankCrash)},
+      {{"scenario", "arrival"},
+       static_cast<int>(fsefi::ArrivalModel::PoissonTimeline)},
+  };
+  for (const auto& [path, last] : fields) {
+    SCOPED_TRACE(path.back());
+    EXPECT_NO_THROW(
+        (void)shard::deployment_from_json(with_int(json, path, last)));
+    for (const std::int64_t bad :
+         {std::int64_t{last} + 1, std::int64_t{-1}, std::int64_t{1} << 40}) {
+      EXPECT_THROW((void)shard::deployment_from_json(with_int(json, path, bad)),
+                   util::JsonError)
+          << bad;
+    }
+  }
 }
 
 // ---- binary wire protocol ---------------------------------------------
@@ -565,7 +602,7 @@ TEST(ShardCampaign, RejectedResultFrameIsNamedInTheError) {
     shard::ShardOptions opts;
     opts.shards = 1;
     opts.max_worker_restarts = 0;
-    // A failed campaign leaves its golden store behind: keep it in `dir`.
+    // A caller-owned store outlives a failed campaign: keep it in `dir`.
     opts.golden_store_dir = dir + "/store";
     opts.worker_path = rogue_worker(dir, std::string("rogue-always-") + mode);
     try {
@@ -576,6 +613,25 @@ TEST(ShardCampaign, RejectedResultFrameIsNamedInTheError) {
       EXPECT_NE(what.find(cause), std::string::npos) << what;
     }
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The private temp golden store goes away on every exit path: here the
+// only worker is rejected and no replacement is allowed, so the campaign
+// throws after its pre-pass filled the store.
+TEST(ShardCampaign, ThrowingCampaignRemovesItsTempStore) {
+  const auto app = apps::make_app(apps::AppId::CG);
+  const harness::DeploymentConfig dep = small_config(16);
+  const std::string dir = fresh_dir("rogue-temp-store");
+  const auto temp_store = std::filesystem::temp_directory_path() /
+                          ("resilience-shard-" + std::to_string(::getpid()));
+  shard::ShardOptions opts;
+  opts.shards = 1;
+  opts.max_worker_restarts = 0;
+  opts.worker_path = rogue_worker(dir, "rogue-always-wrong-id");
+  EXPECT_THROW((void)shard::run_sharded_campaign(*app, dep, opts),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(temp_store)) << temp_store;
   std::filesystem::remove_all(dir);
 }
 

@@ -1,8 +1,17 @@
 // Scheduler edge cases: deterministic deadlock with zero runnable fibers,
 // abort teardown mid-collective, a 512-rank smoke job, pooled resource
 // reuse across an aborted job, and replay of the single-threaded schedule.
+// Then the switch contract: what a fiber switch must carry across a
+// park/resume (FP control state, stack alignment, unwind state) and the
+// guard page under each stack.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "simmpi/collective.hpp"
@@ -184,6 +193,129 @@ TEST(FiberScheduler, TinyStacksStillRunLeafWork) {
   });
   EXPECT_TRUE(result.ok) << result.error;
   detail::set_fiber_stack_kb(0);
+}
+
+// ---- the switch contract ----------------------------------------------
+//
+// In every test below rank 0 arrives first at a barrier and parks; the
+// last rank completes it, and later ranks park at the next one. Both
+// sides of each check therefore cross a real switch out and back in.
+
+/// 1/7 divided at run time by the SSE unit (rounded per MXCSR) and by the
+/// x87 unit (rounded per its control word); both quotients round down to
+/// nearest, so upward rounding changes each. Out of line, so no division
+/// moves across a rounding-mode change.
+[[gnu::noinline]] std::pair<double, long double> seventh() {
+  volatile double one = 1.0;
+  volatile double seven = 7.0;
+  volatile long double lone = 1.0L;
+  volatile long double lseven = 7.0L;
+  volatile double quotient = one / seven;
+  volatile long double lquotient = lone / lseven;
+  return {quotient, lquotient};
+}
+
+std::pair<double, long double> seventh_rounded_upward() {
+  std::fesetround(FE_UPWARD);
+  const auto result = seventh();
+  std::fesetround(FE_TONEAREST);
+  return result;
+}
+
+TEST(FiberSwitch, RoundingModeStaysWithItsFiber) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const auto nearest = seventh();
+  const auto upward = seventh_rounded_upward();
+  ASSERT_NE(nearest.first, upward.first);
+  ASSERT_NE(nearest.second, upward.second);
+
+  const auto result = Runtime::run(2, [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      std::fesetround(FE_UPWARD);
+      comm.barrier();  // parks; rank 1 runs meanwhile
+      EXPECT_EQ(std::fegetround(), FE_UPWARD);
+      EXPECT_EQ(seventh(), upward);
+      comm.barrier();  // completes it: rank 1 parked first
+    } else {
+      // Started after rank 0 switched to upward rounding.
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      EXPECT_EQ(seventh(), nearest);
+      comm.barrier();  // completes it
+      comm.barrier();  // parks; rank 0 runs upward meanwhile
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      EXPECT_EQ(seventh(), nearest);
+    }
+  });
+  EXPECT_TRUE(result.ok) << result.error;
+  // Rank 0 finished upward; the launching thread kept its own mode.
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(seventh(), nearest);
+}
+
+/// Offset of an alignas(16) local from a 16-byte boundary. The address
+/// passes through an empty asm so the compiler cannot fold the check
+/// from the alignment it assumes.
+[[gnu::noinline]] std::uintptr_t aligned_local_offset() {
+  alignas(16) volatile unsigned char local[16] = {};
+  const volatile unsigned char* address = local;
+  asm volatile("" : "+r"(address));
+  return reinterpret_cast<std::uintptr_t>(address) % 16;
+}
+
+TEST(FiberSwitch, StackStaysSixteenByteAligned) {
+  const auto result = Runtime::run(3, [](Comm& comm) {
+    EXPECT_EQ(aligned_local_offset(), 0u) << "entry, rank " << comm.rank();
+    comm.barrier();
+    EXPECT_EQ(aligned_local_offset(), 0u) << "resume, rank " << comm.rank();
+    comm.barrier();
+    EXPECT_EQ(aligned_local_offset(), 0u) << "resume, rank " << comm.rank();
+  });
+  EXPECT_TRUE(result.ok) << result.error;
+}
+
+[[gnu::noinline]] void throw_for(int rank) {
+  throw std::runtime_error("rank " + std::to_string(rank));
+}
+
+TEST(FiberSwitch, ExceptionAfterResumeUnwindsToItsOwnRank) {
+  std::vector<std::string> caught(4);
+  const auto result = Runtime::run(4, [&caught](Comm& comm) {
+    try {
+      comm.barrier();
+      throw_for(comm.rank());
+    } catch (const std::runtime_error& e) {
+      caught[static_cast<std::size_t>(comm.rank())] = e.what();
+    }
+    // Every handler finished before any peer throws again.
+    comm.barrier();
+  });
+  EXPECT_TRUE(result.ok) << result.error;
+  for (int rank = 0; rank < 4; ++rank) {
+    EXPECT_EQ(caught[static_cast<std::size_t>(rank)],
+              "rank " + std::to_string(rank));
+  }
+}
+
+/// Recurses until the stack runs out: the volatile frame and the use of
+/// the callee's result keep every level a real, non-tail call.
+[[gnu::noinline]] int recurse(int depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  if (depth == std::numeric_limits<int>::max()) return 0;
+  return recurse(depth + 1) + frame[0];
+}
+
+TEST(FiberSwitchDeathTest, UnboundedRecursionDiesOnTheGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        detail::set_fiber_stack_kb(16);
+        (void)Runtime::run(2, [](Comm& comm) {
+          comm.barrier();
+          if (comm.rank() == 0) (void)recurse(0);
+        });
+      },
+      "");
 }
 
 }  // namespace
