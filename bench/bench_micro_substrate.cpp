@@ -4,14 +4,19 @@
 // that determine how long a fault-injection campaign takes.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/app.hpp"
+#include "apps/fft.hpp"
 #include "apps/kernels.hpp"
 #include "fsefi/real.hpp"
 #include "fsefi/transport.hpp"
+#include "harness/runner.hpp"
 #include "simmpi/runtime.hpp"
 #include "simmpi/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
@@ -317,6 +322,81 @@ void BM_LocalDotReference(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_LocalDotReference)->Repetitions(9);
+
+// ---- app FP work ------------------------------------------------------------
+// Whole-app cost of the instrumented arithmetic: one fault-free 1-rank run
+// (the serial-sweep golden configuration) per iteration. ns_per_op is the
+// run time divided by the run's dynamic op count, so apps of different
+// sizes compare directly.
+
+void BM_AppRunSerial(benchmark::State& state,
+                     const resilience::apps::App& app) {
+  std::uint64_t ops = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto run = resilience::harness::run_app_once(app, 1, {});
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count());
+    seconds += elapsed.count();
+    ops = run.profiles.at(0).total();
+    benchmark::DoNotOptimize(run.result);
+  }
+  state.counters["ns_per_op"] =
+      seconds * 1e9 /
+      (static_cast<double>(ops) * static_cast<double>(state.iterations()));
+}
+
+/// Registers BM_AppRunSerial/<app> for each of the six benchmark apps.
+const bool kAppRunsRegistered = [] {
+  for (const auto id : resilience::apps::all_app_ids()) {
+    std::shared_ptr<const resilience::apps::App> app =
+        resilience::apps::make_app(id);
+    benchmark::RegisterBenchmark(
+        ("BM_AppRunSerial/" + app->name()).c_str(),
+        [app](benchmark::State& state) { BM_AppRunSerial(state, *app); })
+        ->UseManualTime();
+  }
+  return true;
+}();
+
+/// FT's FFT kernel under an unarmed context: quiet windows of butterflies
+/// run as raw double arithmetic. The row is reloaded every iteration so
+/// repeated unnormalized transforms never overflow.
+void fft_transform_under_context(benchmark::State& state) {
+  constexpr int n = 256;
+  const resilience::apps::FftPlan plan(n);
+  std::vector<resilience::apps::RComplex> input(n), row(n);
+  for (int i = 0; i < n; ++i) {
+    input[static_cast<std::size_t>(i)] = {Real(0.5 + 0.001 * i),
+                                          Real(0.25 - 0.002 * i)};
+  }
+  FaultContext ctx;
+  ctx.reset();
+  ContextGuard guard(&ctx);
+  for (auto _ : state) {
+    row = input;
+    plan.transform(std::span<resilience::apps::RComplex>(row), false);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  // (n/2) log2(n) butterflies of 10 ops each.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          (n / 2) * 8 * 10);
+}
+
+void BM_FftTransformUnderContext(benchmark::State& state) {
+  fft_transform_under_context(state);
+}
+BENCHMARK(BM_FftTransformUnderContext)->Repetitions(9);
+
+/// The same transform on the per-op reference path (quiet_ops is 0).
+void BM_FftTransformUnderContextReference(benchmark::State& state) {
+  FastRealMode mode(false);
+  fft_transform_under_context(state);
+}
+BENCHMARK(BM_FftTransformUnderContextReference)->Repetitions(9);
 
 // Per-trial job launch latency: create one fiber per rank, run the empty
 // body, join — all on the calling thread.

@@ -1,7 +1,6 @@
 #include "apps/kernels.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "apps/app.hpp"
 
@@ -11,12 +10,6 @@ namespace {
 
 using fsefi::FaultContext;
 using fsefi::OpKind;
-
-/// Zero iff the value's primary and shadow bit patterns agree.
-inline std::uint64_t diverged_bits(const Real& r) noexcept {
-  return std::bit_cast<std::uint64_t>(r.value()) ^
-         std::bit_cast<std::uint64_t>(r.shadow());
-}
 
 /// True when a window holding these values may run as one raw block: the
 /// rank is already contaminated (divergence tracking is latched, and the

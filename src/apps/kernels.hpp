@@ -17,8 +17,13 @@
 // preserved exactly, and a window whose inputs carry any primary/shadow
 // divergence while the rank is not yet contaminated falls back to the
 // per-op path so first-contamination tracking fires at the same op.
+//
+// Blocked kernels: local_dot, sparse_row_dot, gather_dot, axpy and xpby
+// here, and FftPlan::transform (apps/fft.cpp), whose radix-2 butterfly is
+// accounted as 4 Mul + 3 Sub + 3 Add per butterfly.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,6 +36,13 @@
 namespace resilience::apps {
 
 using fsefi::Real;
+
+/// Zero iff the value's primary and shadow bit patterns agree; blocked
+/// kernels OR these over a window to detect any divergent input.
+inline std::uint64_t diverged_bits(const Real& r) noexcept {
+  return std::bit_cast<std::uint64_t>(r.value()) ^
+         std::bit_cast<std::uint64_t>(r.shadow());
+}
 
 /// Local dot product of two equal-length spans.
 Real local_dot(std::span<const Real> a, std::span<const Real> b);

@@ -62,11 +62,27 @@ class Real {
   [[nodiscard]] constexpr Real untainted() const noexcept { return Real(v_); }
 
   // ---- arithmetic (instrumented) ------------------------------------------
+  //
+  // Every counted op is forced inline at its call site (DESIGN.md §8,
+  // "Real arithmetic is always inlined"). Left to its heuristics, GCC
+  // stops inlining in large app bodies and emits out-of-line binary()
+  // clones that spill the {v_, shadow_} pair as two 8-byte stores and
+  // reload it as one 16-byte load — a failed store-to-load forward on
+  // every op. tools/check_real_inline.py fails the build if any object
+  // still holds an out-of-line copy.
 
-  friend Real operator+(Real a, Real b) { return binary(OpKind::Add, a, b); }
-  friend Real operator-(Real a, Real b) { return binary(OpKind::Sub, a, b); }
-  friend Real operator*(Real a, Real b) { return binary(OpKind::Mul, a, b); }
-  friend Real operator/(Real a, Real b) { return binary(OpKind::Div, a, b); }
+  [[gnu::always_inline]] friend Real operator+(Real a, Real b) {
+    return binary(OpKind::Add, a, b);
+  }
+  [[gnu::always_inline]] friend Real operator-(Real a, Real b) {
+    return binary(OpKind::Sub, a, b);
+  }
+  [[gnu::always_inline]] friend Real operator*(Real a, Real b) {
+    return binary(OpKind::Mul, a, b);
+  }
+  [[gnu::always_inline]] friend Real operator/(Real a, Real b) {
+    return binary(OpKind::Div, a, b);
+  }
 
   Real& operator+=(Real b) { return *this = *this + b; }
   Real& operator-=(Real b) { return *this = *this - b; }
@@ -102,7 +118,7 @@ class Real {
 
   // ---- unary instrumented math ---------------------------------------------
 
-  friend Real sqrt(Real a) {
+  [[gnu::always_inline]] friend Real sqrt(Real a) {
     if (FaultContext* ctx = current_context()) {
       double dummy = 0.0;
       ctx->on_op(OpKind::Sqrt, a.v_, dummy);
@@ -128,7 +144,7 @@ class Real {
   friend bool isnan(Real a) noexcept { return std::isnan(a.v_); }
 
  private:
-  static Real binary(OpKind kind, Real a, Real b) {
+  [[gnu::always_inline]] static Real binary(OpKind kind, Real a, Real b) {
     if (FaultContext* ctx = current_context()) {
       ctx->on_op(kind, a.v_, b.v_);
       const Real r =

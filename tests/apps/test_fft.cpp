@@ -1,10 +1,13 @@
 // Direct numerical validation of the FFT kernel behind FT: agreement with
 // a naive O(n^2) DFT, linearity, round-trip identity, and Parseval's
-// theorem — swept across sizes with a parameterized suite.
+// theorem — swept across sizes with a parameterized suite — plus a
+// differential test of the blocked butterfly kernel against the per-op
+// reference path.
 #include "apps/fft.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -149,6 +152,121 @@ TEST(FftPlan, OperationsAreInstrumented) {
   // (n/2) log2(n) butterflies, each one complex mul (4 mul + 2 add/sub)
   // and two complex add/sub (4 add/sub) = 10 instrumented ops.
   EXPECT_EQ(ctx.ops_total(), 8u * 4u * 10u);  // butterflies * ops each
+}
+
+// ---- blocked butterflies vs the per-op reference path -----------------
+
+/// Restores the production default on scope exit so later tests in this
+/// binary see the ordinary configuration.
+struct FastRealRestore {
+  ~FastRealRestore() { fsefi::set_fast_real_enabled(true); }
+};
+
+/// How the context is prepared before the transform.
+enum class Prep {
+  Armed,         ///< two injections land mid-stage on a clean signal
+  PreTainted,    ///< clean context, one input already diverged
+  Contaminated,  ///< context already contaminated, one input diverged
+};
+
+/// Everything one transform leaves behind: the output's value and shadow
+/// bits and every observable of the context.
+struct TransformRun {
+  std::vector<std::uint64_t> bits;
+  fsefi::OpCountProfile profile;
+  std::uint64_t filtered_ops = 0;
+  std::vector<fsefi::InjectionEvent> events;
+  bool contaminated = false;
+  std::uint64_t first_contamination_op = 0;
+};
+
+std::vector<std::uint64_t> output_bits(const std::vector<RComplex>& row) {
+  std::vector<std::uint64_t> bits;
+  for (const auto& c : row) {
+    for (const fsefi::Real r : {c.re, c.im}) {
+      bits.push_back(std::bit_cast<std::uint64_t>(r.value()));
+      bits.push_back(std::bit_cast<std::uint64_t>(r.shadow()));
+    }
+  }
+  return bits;
+}
+
+constexpr int kDiffSize = 64;
+
+TransformRun run_under_context(bool fast, Prep prep, bool inverse) {
+  fsefi::set_fast_real_enabled(fast);  // latched by arm()/reset() below
+  fsefi::FaultContext ctx;
+  auto signal = random_signal(kDiffSize, 11);
+  if (prep == Prep::Armed) {
+    // The default AddMul filter sees 7 of a butterfly's 10 ops, so one
+    // 32-butterfly stage is 224 filtered ops: 772 lands mid-way through
+    // stage 4 and 933 early in stage 5.
+    fsefi::InjectionPlan plan;
+    plan.points = {{.op_index = 772, .operand = 1, .bit = 40},
+                   {.op_index = 933, .operand = 0, .bit = 51}};
+    ctx.arm(std::move(plan));
+  } else {
+    ctx.reset();
+    auto& tainted = signal[37].re;
+    tainted = fsefi::Real::corrupted(tainted.value(), tainted.value() + 1e-3);
+    if (prep == Prep::Contaminated) ctx.note_external_taint();
+  }
+  {
+    fsefi::ContextGuard guard(&ctx);
+    FftPlan(kDiffSize).transform(std::span<RComplex>(signal), inverse);
+  }
+  return {output_bits(signal),   ctx.profile(),
+          ctx.filtered_ops(),    ctx.injection_events(),
+          ctx.contaminated(),    ctx.first_contamination_op()};
+}
+
+TEST(FftBlockedKernel, MatchesPerOpReferenceBitForBit) {
+  FastRealRestore restore;
+  for (const Prep prep :
+       {Prep::Armed, Prep::PreTainted, Prep::Contaminated}) {
+    for (const bool inverse : {false, true}) {
+      const auto where = ::testing::Message()
+                         << "prep " << static_cast<int>(prep)
+                         << (inverse ? " inverse" : " forward");
+      const TransformRun fast = run_under_context(true, prep, inverse);
+      const TransformRun ref = run_under_context(false, prep, inverse);
+      EXPECT_EQ(fast.bits, ref.bits) << where;
+      EXPECT_EQ(fast.profile, ref.profile) << where;
+      EXPECT_EQ(fast.filtered_ops, ref.filtered_ops) << where;
+      EXPECT_EQ(fast.events, ref.events) << where;
+      EXPECT_EQ(fast.contaminated, ref.contaminated) << where;
+      EXPECT_EQ(fast.first_contamination_op, ref.first_contamination_op)
+          << where;
+      // Every setup diverges somewhere, so contamination is always seen.
+      EXPECT_TRUE(fast.contaminated) << where;
+      EXPECT_EQ(fast.profile.total(), 6u * 32u * 10u) << where;
+      if (prep == Prep::Armed) {
+        EXPECT_EQ(fast.events.size(), 2u) << where;
+      }
+    }
+  }
+}
+
+TEST(FftBlockedKernel, NoContextMatchesFaultFreeInstrumentedRun) {
+  FastRealRestore restore;
+  for (const bool fast : {true, false}) {
+    for (const bool inverse : {false, true}) {
+      const FftPlan plan(kDiffSize);
+      auto bare = random_signal(kDiffSize, 5);
+      auto counted = bare;
+      plan.transform(std::span<RComplex>(bare), inverse);
+      fsefi::set_fast_real_enabled(fast);
+      fsefi::FaultContext ctx;
+      ctx.reset();
+      {
+        fsefi::ContextGuard guard(&ctx);
+        plan.transform(std::span<RComplex>(counted), inverse);
+      }
+      EXPECT_EQ(output_bits(bare), output_bits(counted))
+          << (fast ? "fast" : "reference") << (inverse ? " inverse" : "");
+      EXPECT_FALSE(ctx.contaminated());
+    }
+  }
 }
 
 }  // namespace
