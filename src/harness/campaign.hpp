@@ -65,6 +65,9 @@ struct AdaptiveConfig {
   /// Dynamic-op deciles per (region, kind) cell.
   int deciles = 10;
 
+  friend bool operator==(const AdaptiveConfig&,
+                         const AdaptiveConfig&) = default;
+
   /// Resolve defaults from the RESILIENCE_ADAPTIVE* knobs
   /// (util::RuntimeOptions). Library callers get the engine only by
   /// opting in here or by setting fields explicitly.
@@ -154,6 +157,9 @@ struct DeploymentConfig {
   /// config without this member. When enabled, `trials` becomes the cap
   /// and `seed` still fully determines every drawn plan.
   AdaptiveConfig adaptive;
+
+  friend bool operator==(const DeploymentConfig&,
+                         const DeploymentConfig&) = default;
 };
 
 /// Everything a campaign produced.

@@ -21,9 +21,6 @@
 // Frames are capped at RESILIENCE_FRAME_CAP_MB (backstop against a
 // corrupted length prefix); oversize errors name the frame kind, unit id,
 // and byte count on the write side, and the configured cap on both.
-//
-// The study service's request API (write_frame/read_frame and the
-// deployment JSON codec) is external and stays JSON.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +32,6 @@
 
 #include "harness/campaign_engine.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/json.hpp"
 
 namespace resilience::shard {
 
@@ -63,10 +59,6 @@ void write_frame_bytes(int fd, std::span<const std::byte> payload,
 /// boundary; throws std::runtime_error on a truncated frame (peer died
 /// mid-write) or a length prefix over the frame cap.
 [[nodiscard]] std::optional<std::vector<std::byte>> read_frame_bytes(int fd);
-
-/// JSON frames of the study service's request API.
-void write_frame(int fd, const util::Json& message);
-[[nodiscard]] std::optional<util::Json> read_frame(int fd);
 
 // ---- handshake -------------------------------------------------------------
 
@@ -132,15 +124,6 @@ using Message =
 void write_message(int fd, const Message& message);
 /// nullopt on clean EOF at a frame boundary.
 [[nodiscard]] std::optional<Message> read_message(int fd);
-
-// ---- study service JSON codec ----------------------------------------------
-
-/// Full-fidelity deployment config for the study service's request API —
-/// unlike the campaign file schema this carries every execution-relevant
-/// field (hang budget, adaptive engine parameters), so the service
-/// rebuilds the exact deployment the client planned.
-util::Json deployment_to_json(const harness::DeploymentConfig& config);
-harness::DeploymentConfig deployment_from_json(const util::Json& json);
 
 // ---- perfbench compatibility shim ------------------------------------------
 //

@@ -54,7 +54,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse_document() {
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) throw JsonError("trailing garbage");
     return value;
@@ -96,12 +96,18 @@ class Parser {
     return false;
   }
 
-  Json parse_value() {
-    switch (peek()) {
+  /// `depth` counts the arrays/objects enclosing this value.
+  Json parse_value(int depth) {
+    const char c = peek();
+    if ((c == '{' || c == '[') && depth == Json::kMaxDepth) {
+      throw JsonError("nesting deeper than " +
+                      std::to_string(Json::kMaxDepth) + " levels");
+    }
+    switch (c) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"':
         return Json(parse_string());
       case 't':
@@ -118,7 +124,7 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  Json parse_object(int depth) {
     expect('{');
     JsonObject obj;
     if (peek() == '}') {
@@ -128,14 +134,14 @@ class Parser {
     for (;;) {
       const std::string key = (peek(), parse_string());
       expect(':');
-      obj.emplace(key, parse_value());
+      obj.emplace(key, parse_value(depth));
       const char c = take();
       if (c == '}') return Json(std::move(obj));
       if (c != ',') throw JsonError("expected ',' or '}' in object");
     }
   }
 
-  Json parse_array() {
+  Json parse_array(int depth) {
     expect('[');
     JsonArray arr;
     if (peek() == ']') {
@@ -143,7 +149,7 @@ class Parser {
       return Json(std::move(arr));
     }
     for (;;) {
-      arr.push_back(parse_value());
+      arr.push_back(parse_value(depth));
       const char c = take();
       if (c == ']') return Json(std::move(arr));
       if (c != ',') throw JsonError("expected ',' or ']' in array");

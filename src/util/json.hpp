@@ -53,9 +53,16 @@ class Json {
   [[nodiscard]] bool is_object() const { return holds<JsonObject>(); }
 
   [[nodiscard]] bool as_bool() const { return get<bool>("bool"); }
+  /// An integer; a double truncates toward zero. An integer literal too
+  /// large for int64 parses as a double, so a double outside
+  /// [-2^63, 2^63) (or not finite) throws JsonError instead of casting.
   [[nodiscard]] std::int64_t as_int() const {
     if (is_double()) {
-      return static_cast<std::int64_t>(std::get<double>(value_));
+      const double d = std::get<double>(value_);
+      if (!(d >= -0x1p63 && d < 0x1p63)) {
+        throw JsonError(dump() + " is out of int64 range");
+      }
+      return static_cast<std::int64_t>(d);
     }
     return get<std::int64_t>("int");
   }
@@ -96,8 +103,13 @@ class Json {
   /// Serialize; `indent` > 0 pretty-prints with that many spaces.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Parse a complete JSON document; throws JsonError on malformed input
-  /// or trailing garbage.
+  /// Deepest array/object nesting parse() accepts: saved campaigns nest 4
+  /// deep, and the cap keeps hostile input from overflowing the stack of
+  /// the recursive-descent parser.
+  static constexpr int kMaxDepth = 64;
+
+  /// Parse a complete JSON document; throws JsonError on malformed input,
+  /// trailing garbage, or nesting deeper than kMaxDepth.
   static Json parse(const std::string& text);
 
  private:

@@ -1,16 +1,19 @@
 // Sharded campaign execution (DESIGN.md §13): wire protocol round trips
 // and hostile-payload rejection, coordinator/worker end-to-end
 // determinism against the in-process runner and against pinned
-// saved-campaign fixtures, worker-crash and misbehaving-worker recovery,
-// golden-store reuse, and the StudyService request dispatcher.
+// saved-campaign fixtures, hostile-text rejection by the saved-campaign
+// decoder, worker-crash and misbehaving-worker recovery, and golden-store
+// reuse.
 //
 // This binary has a custom main: the coordinator re-execs the test binary
 // itself as its worker processes (--shard-worker=<fd>), so main must
 // route to the worker loop before gtest ever sees argv.
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -39,7 +42,6 @@
 #include "harness/serialize.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/protocol.hpp"
-#include "shard/service.hpp"
 #include "shard/worker.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/binio.hpp"
@@ -77,17 +79,18 @@ TEST(ShardProtocol, FramesRoundTripOverSocketpair) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
 
-  util::JsonObject obj;
-  obj["type"] = util::Json("unit");
-  obj["id"] = util::Json(7);
-  const std::string sent = util::Json(obj).dump();
-  shard::write_frame(sv[0], util::Json(std::move(obj)));
-  const auto got = shard::read_frame(sv[1]);
+  const shard::UnitMsg sent{7, {{harness::kNoStratum, 3, 3}}};
+  shard::write_message(sv[0], shard::Message(sent));
+  const auto got = shard::read_message(sv[1]);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->dump(), sent);
+  const auto* unit = std::get_if<shard::UnitMsg>(&*got);
+  ASSERT_NE(unit, nullptr);
+  EXPECT_EQ(unit->id, sent.id);
+  ASSERT_EQ(unit->refs.size(), 1u);
+  EXPECT_EQ(unit->refs[0].index, 3u);
 
   ::close(sv[0]);  // EOF at a frame boundary: clean nullopt
-  EXPECT_FALSE(shard::read_frame(sv[1]).has_value());
+  EXPECT_FALSE(shard::read_message(sv[1]).has_value());
   ::close(sv[1]);
 }
 
@@ -98,58 +101,8 @@ TEST(ShardProtocol, TruncatedFrameThrows) {
   ASSERT_EQ(::write(sv[0], partial, sizeof(partial)),
             static_cast<ssize_t>(sizeof(partial)));
   ::close(sv[0]);
-  EXPECT_THROW((void)shard::read_frame(sv[1]), std::runtime_error);
+  EXPECT_THROW((void)shard::read_message(sv[1]), std::runtime_error);
   ::close(sv[1]);
-}
-
-// The study service's request API carries the deployment as JSON, with
-// every execution-relevant field (adaptive engine parameters included).
-TEST(ShardProtocol, DeploymentJsonKeepsFullFidelity) {
-  harness::DeploymentConfig dep = small_config(17);
-  dep.errors_per_test = 2;
-  dep.seed = 99;
-  dep.adaptive.enabled = true;
-  dep.adaptive.batch = 5;
-  dep.adaptive.ci_half_width = 0.05;
-  const harness::DeploymentConfig cfg_back = shard::deployment_from_json(
-      util::Json::parse(shard::deployment_to_json(dep).dump()));
-  EXPECT_EQ(shard::deployment_to_json(cfg_back).dump(),
-            shard::deployment_to_json(dep).dump());
-}
-
-/// `json` with the value at the object path `path` set to `value`.
-util::Json with_int(const util::Json& json, std::span<const std::string> path,
-                    std::int64_t value) {
-  if (path.empty()) return util::Json(value);
-  util::JsonObject obj = json.as_object();
-  obj[path.front()] = with_int(obj.at(path.front()), path.subspan(1), value);
-  return util::Json(std::move(obj));
-}
-
-// StudyService requests carry the deployment as JSON: its enums are
-// range-checked like the binary frame's, never cast raw.
-TEST(ShardProtocol, OutOfRangeDeploymentJsonEnumsAreRejected) {
-  const util::Json json = shard::deployment_to_json(small_config(17));
-  const std::pair<std::vector<std::string>, int> fields[] = {
-      {{"selection"}, static_cast<int>(harness::TargetSelection::UniformRank)},
-      {{"scenario", "domain"},
-       static_cast<int>(fsefi::FaultDomain::ResidentState)},
-      {{"scenario", "pattern"},
-       static_cast<int>(fsefi::FaultPattern::RankCrash)},
-      {{"scenario", "arrival"},
-       static_cast<int>(fsefi::ArrivalModel::PoissonTimeline)},
-  };
-  for (const auto& [path, last] : fields) {
-    SCOPED_TRACE(path.back());
-    EXPECT_NO_THROW(
-        (void)shard::deployment_from_json(with_int(json, path, last)));
-    for (const std::int64_t bad :
-         {std::int64_t{last} + 1, std::int64_t{-1}, std::int64_t{1} << 40}) {
-      EXPECT_THROW((void)shard::deployment_from_json(with_int(json, path, bad)),
-                   util::JsonError)
-          << bad;
-    }
-  }
 }
 
 // ---- binary wire protocol ---------------------------------------------
@@ -225,8 +178,7 @@ TEST(ShardWire, EveryMessageKindRoundTrips) {
   EXPECT_EQ(i->size_class, init.size_class);
   EXPECT_EQ(i->store, init.store);
   EXPECT_EQ(i->kill_after_units, init.kill_after_units);
-  EXPECT_EQ(shard::deployment_to_json(i->config).dump(),
-            shard::deployment_to_json(init.config).dump());
+  EXPECT_EQ(i->config, init.config);
 
   const auto ready_back = round_trip(shard::ReadyMsg{sample_metrics()});
   const auto* rd = std::get_if<shard::ReadyMsg>(&ready_back);
@@ -426,6 +378,39 @@ TEST(ShardWire, FrameCapErrorNamesFrameKindUnitAndByteCount) {
   }
   ::close(sv[0]);
   ::close(sv[1]);
+  util::RuntimeOptions::reset_global();
+}
+
+// The length prefix is 4 bytes, so the cap clamps to 2^32 - 1 however high
+// RESILIENCE_FRAME_CAP_MB is set: a 4 GiB payload is refused before a
+// byte goes out, instead of being sent behind a wrapped length.
+TEST(ShardWire, FrameCapNeverExceedsTheLengthPrefix) {
+  auto opts = util::RuntimeOptions::from_env();
+  opts.frame_cap_mb = 8192;
+  util::RuntimeOptions::set_global(opts);
+
+  constexpr std::size_t kSize = std::size_t{1} << 32;
+  void* huge = ::mmap(nullptr, kSize, PROT_READ,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(huge, MAP_FAILED);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  ASSERT_EQ(::fcntl(sv[0], F_SETFL, O_NONBLOCK), 0);
+  try {
+    shard::write_frame_bytes(
+        sv[0], std::span(static_cast<const std::byte*>(huge), kSize),
+        "test frame");
+    FAIL() << "4 GiB frame not rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("frame cap"), std::string::npos) << what;
+  }
+  char byte = 0;
+  EXPECT_EQ(::recv(sv[1], &byte, 1, MSG_DONTWAIT), -1);
+  EXPECT_EQ(errno, EAGAIN);
+  ::close(sv[0]);
+  ::close(sv[1]);
+  ::munmap(huge, kSize);
   util::RuntimeOptions::reset_global();
 }
 
@@ -711,6 +696,71 @@ TEST(PinnedFixtures, EveryAppScenarioPairReproducesInProcessAndSharded) {
   EXPECT_EQ(checked, 35u);
 }
 
+/// One corrupted copy of a saved-campaign text: one to three bit flips, a
+/// truncation, one random byte, or one run of digits replaced by a number
+/// no field holds (negative, past int64, past every count, past u32).
+std::string mutate_text(const std::string& valid, util::Xoshiro256& rng) {
+  static constexpr std::string_view kNumbers[] = {
+      "-1", "99999999999999999999", "1e308", "4294967296"};
+  constexpr std::string_view kDigits = "0123456789";
+  std::string out = valid;
+  switch (rng.uniform_below(4)) {
+    case 0:
+      for (std::uint64_t n = 1 + rng.uniform_below(3); n > 0; --n) {
+        out[rng.uniform_below(out.size())] ^=
+            static_cast<char>(1u << rng.uniform_below(8));
+      }
+      break;
+    case 1:
+      out.resize(rng.uniform_below(out.size()));
+      break;
+    case 2:
+      out[rng.uniform_below(out.size())] = static_cast<char>(rng.next() & 0xff);
+      break;
+    default: {
+      std::size_t start =
+          out.find_first_of(kDigits, rng.uniform_below(out.size()));
+      if (start == std::string::npos) start = out.find_first_of(kDigits);
+      const std::size_t end = out.find_first_not_of(kDigits, start);
+      out.replace(start, end - start, kNumbers[rng.uniform_below(4)]);
+      break;
+    }
+  }
+  return out;
+}
+
+// The saved-campaign decoder is the one JSON decoder whose input crosses a
+// process boundary. Fixed-seed text mutations of every pinned fixture must
+// each decode or throw util::JsonError: no other exception, no undefined
+// behaviour under the sanitizers, no crash.
+TEST(PinnedFixtures, MutatedFixturesDecodeOrThrowJsonError) {
+  util::Xoshiro256 rng(20180813);
+  std::size_t fixtures = 0, rejected = 0, decoded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RESILIENCE_CAMPAIGN_FIXTURE_DIR)) {
+    std::ifstream in(entry.path());
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::string valid = buffer.str();
+    ++fixtures;
+    for (int n = 0; n < 1000; ++n) {
+      const std::string text = mutate_text(valid, rng);
+      try {
+        (void)harness::campaign_from_json(util::Json::parse(text));
+        ++decoded;
+      } catch (const util::JsonError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        FAIL() << "mutation " << n << " of " << entry.path()
+               << " escaped as " << typeid(e).name() << ": " << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(fixtures, 35u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(decoded, 0u);
+}
+
 // Regression: how many ranks a Failure trial contaminated before teardown
 // used to depend on how scheduler workers interleaved rank fibers, so a
 // sharded adaptive campaign's saved JSON (contamination profile and the
@@ -736,46 +786,6 @@ TEST(ShardCampaign, PennantPayloadAdaptiveShardedMatchesInProcess) {
   EXPECT_GT(baseline.overall.failure, 0u);  // the schedule-sensitive trials
   EXPECT_EQ(normalized_dump(sharded), normalized_dump(baseline));
   EXPECT_TRUE(sharded.metrics.logical_equal(baseline.metrics));
-}
-
-TEST(StudyService, CachesDeterministicCampaigns) {
-  shard::StudyService service;
-
-  util::JsonObject ping;
-  ping["type"] = util::Json("ping");
-  EXPECT_EQ(service.handle(util::Json(std::move(ping))).at("type").as_string(),
-            "pong");
-
-  util::JsonObject req;
-  req["type"] = util::Json("campaign");
-  req["app"] = util::Json("CG");
-  req["size_class"] = util::Json("");
-  req["config"] = shard::deployment_to_json(small_config(10));
-  req["shards"] = util::Json(0);  // in-process inside the service
-  const util::Json request(std::move(req));
-
-  const util::Json first = service.handle(request);
-  ASSERT_EQ(first.at("type").as_string(), "result");
-  EXPECT_FALSE(first.at("cached").as_bool());
-
-  const util::Json second = service.handle(request);
-  ASSERT_EQ(second.at("type").as_string(), "result");
-  EXPECT_TRUE(second.at("cached").as_bool());
-  EXPECT_EQ(second.at("campaign").dump(), first.at("campaign").dump());
-  EXPECT_EQ(service.cache_hits(), 1u);
-
-  util::JsonObject bad;
-  bad["type"] = util::Json("campaign");
-  bad["app"] = util::Json("NOPE");
-  bad["config"] = shard::deployment_to_json(small_config(1));
-  EXPECT_EQ(service.handle(util::Json(std::move(bad))).at("type").as_string(),
-            "error");
-
-  util::JsonObject down;
-  down["type"] = util::Json("shutdown");
-  EXPECT_EQ(service.handle(util::Json(std::move(down))).at("type").as_string(),
-            "ok");
-  EXPECT_TRUE(service.shutdown_requested());
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "util/json.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace resilience::util {
@@ -111,6 +115,36 @@ TEST(Json, TypeMismatchesThrow) {
 TEST(Json, LargeIntegersSurviveExactly) {
   const std::int64_t big = 9007199254740993;  // not representable in double
   EXPECT_EQ(Json::parse(Json(big).dump()).as_int(), big);
+}
+
+// An integer literal past int64 parses as a double; as_int() used to cast
+// it unchecked (undefined behaviour for 1e20).
+TEST(Json, OutOfRangeIntegersThrow) {
+  EXPECT_THROW((void)Json::parse("99999999999999999999").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("-99999999999999999999").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("1e308").as_int(), JsonError);
+  EXPECT_THROW((void)Json::parse("9223372036854775808.0").as_int(), JsonError);
+  EXPECT_THROW((void)Json(std::nan("")).as_int(), JsonError);
+  EXPECT_THROW((void)Json(-HUGE_VAL).as_int(), JsonError);
+  EXPECT_EQ(Json::parse("-9223372036854775808.0").as_int(), INT64_MIN);
+  EXPECT_EQ(Json::parse("4294967296").as_int(), std::int64_t{1} << 32);
+  EXPECT_EQ(Json::parse("1e3").as_int(), 1000);
+}
+
+// The parser recurses once per open array/object; deep nesting used to
+// overflow the stack. It now stops at Json::kMaxDepth levels.
+TEST(Json, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  EXPECT_THROW(Json::parse(std::string(1'000'000, '[')), JsonError);
+  std::string deep_objects;
+  for (int i = 0; i < 1'000'000; ++i) deep_objects += "{\"k\":";
+  EXPECT_THROW(Json::parse(deep_objects), JsonError);
+
+  const auto nested = [](int levels) {
+    return std::string(static_cast<std::size_t>(levels), '[') +
+           std::string(static_cast<std::size_t>(levels), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(Json::kMaxDepth)));
+  EXPECT_THROW(Json::parse(nested(Json::kMaxDepth + 1)), JsonError);
 }
 
 TEST(Json, DoublePrecisionSurvives) {

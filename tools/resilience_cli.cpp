@@ -21,14 +21,6 @@
 //   resilience propagation --app CG [--ranks 8] [--trials 400] [--seed N]
 //       [--jobs N]
 //       Profile error propagation across ranks.
-//   resilience serve --socket /path/to.sock
-//       Long-running campaign service: accepts campaign requests over an
-//       AF_UNIX socket, caches results (campaigns are deterministic in
-//       their request), answers repeats from the cache.
-//   resilience request --socket /path/to.sock [campaign flags] [--shards N]
-//       [--do ping|stats|shutdown]
-//       Client for `serve`: submit one campaign (default) or a control
-//       request and print the reply.
 //
 // campaign and propagation also accept multi-process sharding
 // (DESIGN.md §13):
@@ -82,12 +74,9 @@
 #include "harness/golden_store.hpp"
 #include "harness/serialize.hpp"
 #include "shard/coordinator.hpp"
-#include "shard/protocol.hpp"
-#include "shard/service.hpp"
 #include "shard/worker.hpp"
 #include "telemetry/sinks.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 
@@ -246,7 +235,7 @@ fsefi::RegionMask parse_region(const std::string& name) {
   throw std::invalid_argument("unknown region: " + name);
 }
 
-/// The deployment flags shared by campaign, propagation, and request.
+/// The deployment flags shared by campaign and propagation.
 /// The scenario resolves in layers: catalog entry (--scenario, else the
 /// RESILIENCE_SCENARIO env knob, else "paper"), then field overrides
 /// (--pattern, --region, --mtbf / RESILIENCE_MTBF).
@@ -291,24 +280,6 @@ harness::CampaignResult run_configured_campaign(
   return harness::CampaignRunner::run(app, dep);
 }
 
-/// The Success/SDC/Failure outcome table shared by campaign and request;
-/// a Crash row appears only when a fail-stop scenario produced one, so
-/// the classic output is unchanged.
-void print_outcomes(const harness::FaultInjectionResult& overall) {
-  util::TablePrinter table({"outcome", "tests", "rate"});
-  table.add_row({"Success", std::to_string(overall.success),
-                 util::TablePrinter::pct(overall.success_rate())});
-  table.add_row({"SDC", std::to_string(overall.sdc),
-                 util::TablePrinter::pct(overall.sdc_rate())});
-  table.add_row({"Failure", std::to_string(overall.failure),
-                 util::TablePrinter::pct(overall.failure_rate())});
-  if (overall.crash != 0) {
-    table.add_row({"Crash", std::to_string(overall.crash),
-                   util::TablePrinter::pct(overall.crash_rate())});
-  }
-  table.print();
-}
-
 int cmd_scenarios() {
   util::TablePrinter table({"name", "domain", "pattern", "arrival", "notes"});
   for (const fsefi::ScenarioCatalogEntry& entry : fsefi::scenario_catalog()) {
@@ -351,7 +322,21 @@ int cmd_campaign(Args& args) {
             << " error(s)/test, scenario "
             << fsefi::scenario_name(dep.scenario) << " (pattern "
             << to_string(dep.scenario.pattern) << ")\n\n";
-  print_outcomes(campaign.overall);
+  // A Crash row appears only when a fail-stop scenario produced one, so
+  // the classic output is unchanged.
+  const harness::FaultInjectionResult& overall = campaign.overall;
+  util::TablePrinter table({"outcome", "tests", "rate"});
+  table.add_row({"Success", std::to_string(overall.success),
+                 util::TablePrinter::pct(overall.success_rate())});
+  table.add_row({"SDC", std::to_string(overall.sdc),
+                 util::TablePrinter::pct(overall.sdc_rate())});
+  table.add_row({"Failure", std::to_string(overall.failure),
+                 util::TablePrinter::pct(overall.failure_rate())});
+  if (overall.crash != 0) {
+    table.add_row({"Crash", std::to_string(overall.crash),
+                   util::TablePrinter::pct(overall.crash_rate())});
+  }
+  table.print();
   print_adaptive(campaign);
   std::cout << "\npropagation r_x:";
   const auto r = campaign.propagation_probabilities();
@@ -489,70 +474,9 @@ int cmd_propagation(Args& args) {
   return 0;
 }
 
-int cmd_serve(Args& args) {
-  const std::string socket_path = args.get("socket", "");
-  args.check_consumed();
-  if (socket_path.empty()) {
-    throw std::invalid_argument("serve: --socket is required");
-  }
-  return shard::run_server(socket_path);
-}
-
-int cmd_request(Args& args) {
-  const std::string socket_path = args.get("socket", "");
-  if (socket_path.empty()) {
-    throw std::invalid_argument("request: --socket is required");
-  }
-  const std::string action = args.get("do", "campaign");
-  if (action != "campaign") {
-    args.check_consumed();
-    util::JsonObject req;
-    req["type"] = util::Json(action);
-    const util::Json reply =
-        shard::send_request(socket_path, util::Json(std::move(req)));
-    std::cout << reply.dump(2) << "\n";
-    return reply.at("type").as_string() == "error" ? 1 : 0;
-  }
-
-  const std::string app_name = args.get("app", "CG");
-  const std::string size_class = args.get("class", "");
-  const harness::DeploymentConfig dep = parse_deployment(args);
-  const long shards_flag = args.get_int("shards", -1);
-  const std::string save_path = args.get("save", "");
-  args.check_consumed();
-
-  util::JsonObject req;
-  req["type"] = util::Json("campaign");
-  req["app"] = util::Json(app_name);
-  req["size_class"] = util::Json(size_class);
-  req["config"] = shard::deployment_to_json(dep);
-  if (shards_flag >= 0) {
-    req["shards"] = util::Json(static_cast<int>(shards_flag));
-  }
-  const util::Json reply =
-      shard::send_request(socket_path, util::Json(std::move(req)));
-  if (reply.at("type").as_string() == "error") {
-    std::cerr << "server error: " << reply.at("message").as_string() << "\n";
-    return 1;
-  }
-  const auto campaign = harness::campaign_from_json(reply.at("campaign"));
-  if (!save_path.empty()) {
-    harness::save_campaign(save_path, campaign);
-    std::cout << "campaign saved to " << save_path << "\n";
-  }
-  std::cout << app_name << " on " << dep.nranks << " ranks, " << dep.trials
-            << " tests ("
-            << (reply.at("cached").as_bool() ? "served from cache"
-                                             : "freshly executed")
-            << ")\n";
-  print_outcomes(campaign.overall);
-  print_adaptive(campaign);
-  return 0;
-}
-
 int usage() {
   std::cerr << "usage: resilience "
-               "<list|scenarios|campaign|predict|propagation|serve|request> "
+               "<list|scenarios|campaign|predict|propagation> "
                "[options]\n(see the header of tools/resilience_cli.cpp)\n";
   return 2;
 }
@@ -578,8 +502,6 @@ int main(int argc, char** argv) {
     if (command == "campaign") return cmd_campaign(args);
     if (command == "predict") return cmd_predict(args);
     if (command == "propagation") return cmd_propagation(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "request") return cmd_request(args);
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
