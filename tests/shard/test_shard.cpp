@@ -641,6 +641,13 @@ TEST(ShardCampaign, GoldenStoreServesSecondInvocation) {
   std::filesystem::remove_all(opts.golden_store_dir);
 }
 
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 // Pinned fixtures: one saved campaign per valid (app, catalog scenario)
 // pair at 8 ranks, 16 trials, default seed, written by the release that
 // still had the multi-worker and thread-per-rank cores, running each job
@@ -669,10 +676,7 @@ TEST(PinnedFixtures, EveryAppScenarioPairReproducesInProcessAndSharded) {
             << path << " is missing";
         continue;
       }
-      std::ifstream in(path);
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      const std::string expected = buffer.str();
+      const std::string expected = read_text(path);
       const harness::CampaignResult pinned =
           harness::campaign_from_json(util::Json::parse(expected));
       EXPECT_EQ(harness::to_json(pinned).dump(2) + "\n", expected) << path;
@@ -694,6 +698,45 @@ TEST(PinnedFixtures, EveryAppScenarioPairReproducesInProcessAndSharded) {
     }
   }
   EXPECT_EQ(checked, 35u);
+}
+
+// Pinned adaptive fixtures at 8 ranks, default seed, a 128-trial cap in
+// batches of 16 and a 0.1 CI half-width target: CG under `paper` flips
+// (stratified; stops at its cap) and PENNANT under `payload` flips (left
+// unstratified; converges after 96 trials). The saved config does not
+// carry the adaptive engine's settings, so they are set here. Rerunning
+// each in-process and on 2 shards must reproduce its bytes exactly.
+TEST(PinnedFixtures, AdaptiveCampaignsReproduceInProcessAndSharded) {
+  const std::filesystem::path dir =
+      std::filesystem::path(RESILIENCE_CAMPAIGN_FIXTURE_DIR) / "adaptive";
+  shard::ShardOptions opts;
+  opts.shards = 2;
+  const std::pair<apps::AppId, const char*> kPinned[] = {
+      {apps::AppId::CG, "CG-paper.json"},
+      {apps::AppId::PENNANT, "PENNANT-payload.json"},
+  };
+  for (const auto& [id, file] : kPinned) {
+    const auto path = dir / file;
+    const std::string expected = read_text(path);
+    ASSERT_FALSE(expected.empty()) << path;
+    const auto app = apps::make_app(id);
+    harness::DeploymentConfig dep =
+        harness::campaign_from_json(util::Json::parse(expected)).config;
+    dep.adaptive.enabled = true;
+    dep.adaptive.batch = 16;
+    dep.adaptive.min_trials = 32;
+    dep.adaptive.ci_half_width = 0.1;
+
+    harness::CampaignResult in_process = harness::CampaignRunner::run(*app, dep);
+    in_process.wall_seconds = 0.0;
+    EXPECT_EQ(harness::to_json(in_process).dump(2) + "\n", expected)
+        << path << " in-process";
+    harness::CampaignResult sharded =
+        shard::run_sharded_campaign(*app, dep, opts);
+    sharded.wall_seconds = 0.0;
+    EXPECT_EQ(harness::to_json(sharded).dump(2) + "\n", expected)
+        << path << " on 2 shards";
+  }
 }
 
 /// One corrupted copy of a saved-campaign text: one to three bit flips, a
@@ -736,12 +779,10 @@ std::string mutate_text(const std::string& valid, util::Xoshiro256& rng) {
 TEST(PinnedFixtures, MutatedFixturesDecodeOrThrowJsonError) {
   util::Xoshiro256 rng(20180813);
   std::size_t fixtures = 0, rejected = 0, decoded = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(RESILIENCE_CAMPAIGN_FIXTURE_DIR)) {
-    std::ifstream in(entry.path());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string valid = buffer.str();
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           RESILIENCE_CAMPAIGN_FIXTURE_DIR)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string valid = read_text(entry.path());
     ++fixtures;
     for (int n = 0; n < 1000; ++n) {
       const std::string text = mutate_text(valid, rng);
@@ -756,7 +797,7 @@ TEST(PinnedFixtures, MutatedFixturesDecodeOrThrowJsonError) {
       }
     }
   }
-  EXPECT_EQ(fixtures, 35u);
+  EXPECT_EQ(fixtures, 37u);
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(decoded, 0u);
 }
