@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "harness/campaign_engine.hpp"
@@ -103,9 +102,6 @@ CampaignResult CampaignRunner::run(const apps::App& app,
 CampaignResult CampaignRunner::run(const apps::App& app,
                                    const DeploymentConfig& cfg,
                                    const CampaignContext& context) {
-  if (cfg.errors_per_test < 1) {
-    throw std::invalid_argument("errors_per_test must be >= 1");
-  }
   // The campaign's accounting domain. Every count below — whether from
   // this thread, an executor worker running a trial chunk, or a rank
   // fiber inside a job — lands here; totals roll up into the study's
@@ -127,16 +123,6 @@ CampaignResult CampaignRunner::run(const apps::App& app,
     }
   }
 
-  // The deterministic trial machinery (plan drawing, execution, strata) —
-  // shared with the shard coordinator/worker path (src/shard), which is
-  // why a sharded campaign is bit-identical to this in-process one.
-  TrialSpace space(app, cfg, result.golden);
-
-  result.contamination_hist.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                   0);
-  result.by_contamination.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                 FaultInjectionResult{});
-
   Executor* executor = context.executor;
   std::unique_ptr<Executor> local_executor;
   if (executor == nullptr && cfg.trials > 1) {
@@ -147,37 +133,35 @@ CampaignResult CampaignRunner::run(const apps::App& app,
     }
   }
 
-  // Run trials [0, n) of `body` to completion and return the
-  // serial-equivalent seconds. Inline when no executor; otherwise
+  // Run one batch inline when there is no executor; otherwise as
   // contiguous chunks, several per worker: large enough to amortise
   // queueing, small enough that the tail stays balanced.
-  auto run_chunked = [&](std::size_t n, auto&& body) -> double {
-    if (n == 0) return 0.0;
-    if (executor == nullptr) {
+  run_campaign_loop(app, result, metrics,
+                    [&](const TrialSpace& space,
+                        const std::vector<TrialRef>& refs,
+                        std::vector<TrialResult>& out) {
+    // The executing thread may be this one or an executor worker; the
+    // scope push makes each trial's counts land in this campaign's scope
+    // either way.
+    auto run_range = [&](std::size_t lo, std::size_t hi) {
       const auto start = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < n; ++i) body(i);
+      for (std::size_t i = lo; i < hi; ++i) {
+        telemetry::ScopeGuard guard(&metrics);
+        out[i] = space.run(refs[i]);
+      }
       return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            start)
           .count();
-    }
-    const std::size_t chunk_target =
-        static_cast<std::size_t>(executor->workers()) * 4;
-    const std::size_t nchunks =
-        std::min(n, std::max<std::size_t>(chunk_target, 1));
-    const std::size_t chunk = (n + nchunks - 1) / nchunks;
-    std::vector<double> chunk_seconds(nchunks, 0.0);
+    };
+    if (executor == nullptr) return run_range(0, refs.size());
+    const auto chunks = contiguous_chunks(
+        refs.size(), static_cast<std::size_t>(executor->workers()) * 4);
+    std::vector<double> chunk_seconds(chunks.size(), 0.0);
     std::vector<Executor::Task> tasks;
-    tasks.reserve(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(lo + chunk, n);
-      if (lo >= hi) break;
-      tasks.push_back([&, c, lo, hi] {
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-        chunk_seconds[c] = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
+    tasks.reserve(chunks.size());
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      tasks.push_back([&, c] {
+        chunk_seconds[c] = run_range(chunks[c].first, chunks[c].second);
       });
     }
     executor->run(std::move(tasks));
@@ -186,72 +170,8 @@ CampaignResult CampaignRunner::run(const apps::App& app,
     double total = 0.0;
     for (double s : chunk_seconds) total += s;
     return total;
-  };
+  });
 
-  // Fold one finished trial into the campaign tallies. Always called in
-  // deterministic trial order — the parallel path stays bit-identical to
-  // the serial one no matter how chunks were scheduled.
-  auto merge_trial = [&](const TrialResult& t) {
-    result.overall.add(t.outcome);
-    if (t.contaminated >= 0 &&
-        t.contaminated < static_cast<int>(result.contamination_hist.size())) {
-      result.contamination_hist[static_cast<std::size_t>(t.contaminated)] += 1;
-      result.by_contamination[static_cast<std::size_t>(t.contaminated)].add(
-          t.outcome);
-    }
-  };
-
-  // One trial body: the executing thread may be this function's thread
-  // (inline path) or an executor worker (chunked path); the scope push
-  // makes the trial's counts land in this campaign's scope either way.
-  auto run_ref = [&](const TrialRef& ref) -> TrialResult {
-    telemetry::ScopeGuard guard(&metrics);
-    return space.run(ref);
-  };
-
-  if (!cfg.adaptive.enabled) {
-    std::vector<TrialResult> outcomes(cfg.trials);
-    result.wall_seconds = run_chunked(cfg.trials, [&](std::size_t trial) {
-      outcomes[trial] = run_ref({kNoStratum, trial, trial});
-    });
-    for (const TrialResult& t : outcomes) merge_trial(t);
-    result.metrics = metrics.snapshot();
-    return result;
-  }
-
-  // ---- adaptive engine (DESIGN.md §12) ------------------------------------
-  // CI-driven early stopping over (optionally) stratified sampling. The
-  // driver issues refs and evaluates the stop rule only at batch
-  // boundaries on tallies folded in deterministic (stratum, index) order,
-  // so for a given seed the stopping point — and therefore every
-  // classified outcome — is reproducible across worker and shard counts.
-  AdaptiveDriver driver(cfg, space);
-  std::vector<TrialRef> refs;
-  while (!(refs = driver.next_batch()).empty()) {
-    std::vector<TrialResult> out(refs.size());
-    result.wall_seconds += run_chunked(
-        refs.size(), [&](std::size_t i) { out[i] = run_ref(refs[i]); });
-    // Merge in (stratum, index) order — fixed before the batch ran.
-    for (const TrialResult& t : out) merge_trial(t);
-    driver.fold(refs, out);
-  }
-
-  const AdaptiveStats stats = driver.stats();
-  result.adaptive = stats;
-  {
-    telemetry::ScopeGuard guard(&metrics);
-    telemetry::count(telemetry::Counter::CampaignTrialsSaved,
-                     static_cast<std::uint64_t>(stats.trials_requested -
-                                                stats.trials_executed));
-    telemetry::count(telemetry::Counter::CampaignStrata,
-                     static_cast<std::uint64_t>(stats.strata));
-    telemetry::trace_instant("harness",
-                             stats.stop_reason == StopReason::Converged
-                                 ? "adaptive_stop_converged"
-                                 : "adaptive_stop_trial_cap",
-                             "executed",
-                             static_cast<std::uint64_t>(stats.trials_executed));
-  }
   // Workers have quiesced (executor->run returned / inline loop ended):
   // the merge is exact. The scope's destructor then rolls these totals up
   // into the study scope, if any.

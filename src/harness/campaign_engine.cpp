@@ -94,6 +94,9 @@ std::size_t outcome_count(const FaultInjectionResult& tally,
 TrialSpace::TrialSpace(const apps::App& app, const DeploymentConfig& config,
                        const GoldenRun& golden)
     : app_(app), config_(config), golden_(golden) {
+  if (config_.errors_per_test < 1) {
+    throw std::invalid_argument("errors_per_test must be >= 1");
+  }
   const fsefi::FaultScenario& sc = config_.scenario;
   if (sc.crash()) {
     if (sc.domain != fsefi::FaultDomain::RegisterOperand) {
@@ -683,6 +686,79 @@ AdaptiveStats AdaptiveDriver::stats() const {
     }
   }
   return stats;
+}
+
+void run_campaign_loop(const apps::App& app, CampaignResult& result,
+                       telemetry::MetricScope& metrics,
+                       const BatchRunner& run_batch) {
+  const DeploymentConfig& cfg = result.config;
+  const TrialSpace space(app, cfg, result.golden);
+
+  const std::size_t bins = static_cast<std::size_t>(cfg.nranks) + 1;
+  result.contamination_hist.assign(bins, 0);
+  result.by_contamination.assign(bins, FaultInjectionResult{});
+
+  // Execute one batch and fold it into the campaign tallies in ref order.
+  auto run = [&](const std::vector<TrialRef>& refs) {
+    std::vector<TrialResult> out(refs.size());
+    result.wall_seconds += run_batch(space, refs, out);
+    for (const TrialResult& t : out) {
+      result.overall.add(t.outcome);
+      if (t.contaminated >= 0 && t.contaminated < static_cast<int>(bins)) {
+        result.contamination_hist[static_cast<std::size_t>(t.contaminated)] +=
+            1;
+        result.by_contamination[static_cast<std::size_t>(t.contaminated)].add(
+            t.outcome);
+      }
+    }
+    return out;
+  };
+
+  if (!cfg.adaptive.enabled) {
+    std::vector<TrialRef> refs(cfg.trials);
+    for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
+      refs[trial] = {kNoStratum, trial, trial};
+    }
+    run(refs);
+    return;
+  }
+
+  // ---- adaptive engine (DESIGN.md §12) ------------------------------------
+  // CI-driven early stopping over (optionally) stratified sampling. The
+  // driver issues refs and evaluates the stop rule only at batch
+  // boundaries on tallies folded in deterministic (stratum, index) order,
+  // so for a given seed the stopping point — and therefore every
+  // classified outcome — is reproducible across worker and shard counts.
+  AdaptiveDriver driver(cfg, space);
+  std::vector<TrialRef> refs;
+  while (!(refs = driver.next_batch()).empty()) driver.fold(refs, run(refs));
+
+  const AdaptiveStats stats = driver.stats();
+  result.adaptive = stats;
+  telemetry::ScopeGuard guard(&metrics);
+  telemetry::count(telemetry::Counter::CampaignTrialsSaved,
+                   static_cast<std::uint64_t>(stats.trials_requested -
+                                              stats.trials_executed));
+  telemetry::count(telemetry::Counter::CampaignStrata,
+                   static_cast<std::uint64_t>(stats.strata));
+  telemetry::trace_instant("harness",
+                           stats.stop_reason == StopReason::Converged
+                               ? "adaptive_stop_converged"
+                               : "adaptive_stop_trial_cap",
+                           "executed",
+                           static_cast<std::uint64_t>(stats.trials_executed));
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> contiguous_chunks(
+    std::size_t n, std::size_t max_chunks) {
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  if (n == 0) return chunks;
+  const std::size_t count = std::min(n, std::max<std::size_t>(max_chunks, 1));
+  const std::size_t chunk = (n + count - 1) / count;
+  for (std::size_t lo = 0; lo < n; lo += chunk) {
+    chunks.emplace_back(lo, std::min(lo + chunk, n));
+  }
+  return chunks;
 }
 
 }  // namespace resilience::harness

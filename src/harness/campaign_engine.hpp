@@ -19,13 +19,17 @@
 //     is what lets a shard coordinator run the policy while worker
 //     processes run the refs.
 //
-// CampaignRunner::run composes both with the campaign-level bookkeeping
-// (scope, golden acquisition, contamination histograms); results are
-// bit-identical to the pre-split implementation.
+// run_campaign_loop composes both into the one campaign loop that
+// in-process (CampaignRunner::run) and sharded (shard::run_sharded_campaign)
+// campaigns share: validation, batch iteration, the ref-order merge into
+// the contamination histograms, and the adaptive record. A caller supplies
+// only how a batch of refs executes.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "harness/campaign.hpp"
@@ -181,5 +185,31 @@ class AdaptiveDriver {
   StopReason stop_ = StopReason::TrialCap;
   std::array<OutcomeInterval, 3> envelope_{};
 };
+
+/// How a campaign's batches of refs execute: fills `out` (sized like
+/// `refs`) with one result per ref, in ref order, and returns the batch's
+/// serial-equivalent seconds.
+using BatchRunner =
+    std::function<double(const TrialSpace& space,
+                         const std::vector<TrialRef>& refs,
+                         std::vector<TrialResult>& out)>;
+
+/// The campaign loop. `result` arrives holding its config and golden run.
+/// Validates the deployment by building its TrialSpace (throwing before
+/// `run_batch` is first called), then runs a fixed campaign as one batch
+/// of uniform refs [0, trials) and an adaptive one as AdaptiveDriver's
+/// batches. Every batch is merged into result's tallies in ref order —
+/// fixed before the batch ran, so the tallies are bit-identical however
+/// and wherever the refs executed. Adaptive campaigns also get their
+/// AdaptiveStats record and its telemetry, counted in `metrics`. Taking
+/// the metrics snapshot is left to the caller.
+void run_campaign_loop(const apps::App& app, CampaignResult& result,
+                       telemetry::MetricScope& metrics,
+                       const BatchRunner& run_batch);
+
+/// Split [0, n) into at most `max_chunks` contiguous [lo, hi) ranges of
+/// ceil(n / chunks) elements each, in order (none when n == 0).
+std::vector<std::pair<std::size_t, std::size_t>> contiguous_chunks(
+    std::size_t n, std::size_t max_chunks);
 
 }  // namespace resilience::harness

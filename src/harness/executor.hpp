@@ -10,7 +10,8 @@
 // Determinism contract: the executor only decides *when* a task runs,
 // never what it computes. Campaign code keeps results bit-identical to
 // serial execution by giving every trial its own seeded RNG stream and
-// merging per-trial outcomes in trial order (see CampaignRunner::run).
+// merging per-trial outcomes in trial order (see run_campaign_loop in
+// harness/campaign_engine.hpp, shared with sharded campaigns).
 #pragma once
 
 #include <condition_variable>

@@ -44,27 +44,6 @@ struct Unit {
   double wall = 0.0;
 };
 
-/// Split `refs` into at most `max_units` contiguous units (ceil-div
-/// chunking, mirroring the in-process executor's chunk shape). Unit order
-/// preserves ref order, so concatenating unit results in unit-id order
-/// reproduces the ref order the driver and merge loop expect.
-std::vector<Unit> split_units(const std::vector<harness::TrialRef>& refs,
-                              std::size_t max_units) {
-  std::vector<Unit> units;
-  const std::size_t n = refs.size();
-  if (n == 0) return units;
-  const std::size_t nunits = std::min(n, std::max<std::size_t>(max_units, 1));
-  const std::size_t chunk = (n + nunits - 1) / nunits;
-  for (std::size_t lo = 0; lo < n; lo += chunk) {
-    const std::size_t hi = std::min(lo + chunk, n);
-    Unit unit;
-    unit.refs.assign(refs.begin() + static_cast<std::ptrdiff_t>(lo),
-                     refs.begin() + static_cast<std::ptrdiff_t>(hi));
-    units.push_back(std::move(unit));
-  }
-  return units;
-}
-
 /// Owns the worker fleet for one campaign: spawning over socketpairs,
 /// dispatching units, folding worker metric snapshots into the campaign
 /// scope, and replacing workers that die or wedge.
@@ -325,9 +304,10 @@ class Coordinator {
   }
 
   /// A result must answer the unit in flight on its worker with one
-  /// outcome per ref. Anything else (a stray id, a wrong count, a
-  /// duplicate or unsolicited result) comes from a confused worker and
-  /// must not reach the tallies. Returns why the frame is rejected, or ""
+  /// outcome per ref, each contaminating between -1 (unknown) and nranks
+  /// ranks. Anything else (a stray id, a wrong count, a duplicate or
+  /// unsolicited result, a contamination count no job can have) comes
+  /// from a confused worker and must not reach the tallies. Returns why the frame is rejected, or ""
   /// when it is valid.
   std::string result_mismatch(const Worker& w, const ResultMsg& result) const {
     const std::string unit = "shard: result for unit " +
@@ -342,6 +322,13 @@ class Coordinator {
     if (result.outcomes.size() != refs) {
       return unit + " carries " + std::to_string(result.outcomes.size()) +
              " outcome(s) for " + std::to_string(refs) + " ref(s)";
+    }
+    for (const harness::TrialResult& t : result.outcomes) {
+      if (t.contaminated < -1 || t.contaminated > config_.nranks) {
+        return unit + " reports " + std::to_string(t.contaminated) +
+               " contaminated rank(s) in a " +
+               std::to_string(config_.nranks) + "-rank job";
+      }
     }
     return {};
   }
@@ -452,9 +439,6 @@ ShardOptions ShardOptions::from_runtime() {
 harness::CampaignResult run_sharded_campaign(
     const apps::App& app, const harness::DeploymentConfig& cfg,
     const ShardOptions& opts, telemetry::MetricScope* metrics_parent) {
-  if (cfg.errors_per_test < 1) {
-    throw std::invalid_argument("errors_per_test must be >= 1");
-  }
   // Dispatching a unit to a worker that just died must surface as EPIPE
   // (an exception the recovery path handles), not a process signal.
   ::signal(SIGPIPE, SIG_IGN);
@@ -489,86 +473,38 @@ harness::CampaignResult run_sharded_campaign(
     result.golden = *golden;
   }
 
-  // Built for the adaptive driver (strata, allocation weights) and to
-  // validate the deployment exactly as the in-process runner does.
-  harness::TrialSpace space(app, cfg, result.golden);
-
-  result.contamination_hist.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                   0);
-  result.by_contamination.assign(static_cast<std::size_t>(cfg.nranks) + 1,
-                                 harness::FaultInjectionResult{});
-
-  // Identical to CampaignRunner::run's merge: always applied in
-  // deterministic ref order, which is what makes the sharded tallies
-  // bit-identical to the in-process ones.
-  auto merge_trial = [&](const harness::TrialResult& t) {
-    result.overall.add(t.outcome);
-    if (t.contaminated >= 0 &&
-        t.contaminated < static_cast<int>(result.contamination_hist.size())) {
-      result.contamination_hist[static_cast<std::size_t>(t.contaminated)] += 1;
-      result.by_contamination[static_cast<std::size_t>(t.contaminated)].add(
-          t.outcome);
-    }
-  };
-
-  {
-    Coordinator coord(app, cfg, opts, shards, store_dir, metrics);
-
-    if (!cfg.adaptive.enabled) {
-      std::vector<harness::TrialRef> refs;
-      refs.reserve(cfg.trials);
-      for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
-        refs.push_back({harness::kNoStratum, trial, trial});
-      }
-      // Several units per worker, like the in-process chunk shape: large
-      // enough to amortise framing, small enough to balance the tail.
-      auto units =
-          split_units(refs, static_cast<std::size_t>(shards) * 4);
-      coord.run_units(units);
-      for (const Unit& unit : units) {
-        result.wall_seconds += unit.wall;
-        for (const harness::TrialResult& t : *unit.results) merge_trial(t);
-      }
-    } else {
-      // Adaptive: the coordinator runs the allocation/stop policy; each
-      // batch fans out as at most `shards` units with a barrier at the
-      // batch boundary (the stop rule needs the whole batch folded).
-      harness::AdaptiveDriver driver(cfg, space);
-      std::vector<harness::TrialRef> refs;
-      while (!(refs = driver.next_batch()).empty()) {
-        auto units = split_units(refs, static_cast<std::size_t>(shards));
-        coord.run_units(units);
-        std::vector<harness::TrialResult> out;
-        out.reserve(refs.size());
-        for (const Unit& unit : units) {
-          result.wall_seconds += unit.wall;
-          for (const harness::TrialResult& t : *unit.results) {
-            merge_trial(t);
-            out.push_back(t);
-          }
+  // Fixed campaigns run several units per worker, like the in-process
+  // chunk shape: large enough to amortise framing, small enough to
+  // balance the tail. Adaptive batches fan out as at most one unit per
+  // worker, with a barrier at the batch boundary (the stop rule needs the
+  // whole batch folded).
+  const std::size_t max_units = static_cast<std::size_t>(shards) *
+                                (cfg.adaptive.enabled ? 1 : 4);
+  std::optional<Coordinator> coord;
+  harness::run_campaign_loop(
+      app, result, metrics,
+      [&](const harness::TrialSpace&, const std::vector<harness::TrialRef>& refs,
+          std::vector<harness::TrialResult>& out) {
+        // The loop has validated the deployment: only now spawn workers.
+        if (!coord) coord.emplace(app, cfg, opts, shards, store_dir, metrics);
+        std::vector<Unit> units;
+        for (const auto& [lo, hi] :
+             harness::contiguous_chunks(refs.size(), max_units)) {
+          units.emplace_back().refs.assign(
+              refs.begin() + static_cast<std::ptrdiff_t>(lo),
+              refs.begin() + static_cast<std::ptrdiff_t>(hi));
         }
-        driver.fold(refs, out);
-      }
-
-      const harness::AdaptiveStats stats = driver.stats();
-      result.adaptive = stats;
-      {
-        telemetry::ScopeGuard guard(&metrics);
-        telemetry::count(
-            telemetry::Counter::CampaignTrialsSaved,
-            static_cast<std::uint64_t>(stats.trials_requested -
-                                       stats.trials_executed));
-        telemetry::count(telemetry::Counter::CampaignStrata,
-                         static_cast<std::uint64_t>(stats.strata));
-        telemetry::trace_instant(
-            "harness",
-            stats.stop_reason == harness::StopReason::Converged
-                ? "adaptive_stop_converged"
-                : "adaptive_stop_trial_cap",
-            "executed", static_cast<std::uint64_t>(stats.trials_executed));
-      }
-    }
-  }  // ~Coordinator: shutdown frames, close, reap
+        coord->run_units(units);
+        // Unit order is ref order: concatenating by unit id restores it.
+        double seconds = 0.0;
+        auto next = out.begin();
+        for (const Unit& unit : units) {
+          seconds += unit.wall;
+          next = std::copy(unit.results->begin(), unit.results->end(), next);
+        }
+        return seconds;
+      });
+  coord.reset();  // shutdown frames, close, reap: before the snapshot
 
   result.metrics = metrics.snapshot();
   return result;

@@ -3,10 +3,11 @@
 // The coordinator splits a campaign's trials into work units of TrialRefs
 // and farms them to worker processes (the same binary re-exec'd with
 // --shard-worker) over Unix-domain socketpairs. Because a trial's
-// randomness is a pure function of (config.seed, ref) and tallies are
-// folded in ref order, the merged result is bit-identical to
-// CampaignRunner::run on one process — sharding is execution policy, like
-// the in-process executor's worker count.
+// randomness is a pure function of (config.seed, ref) and both paths fold
+// tallies in ref order through one loop (harness::run_campaign_loop), the
+// merged result is bit-identical to CampaignRunner::run on one process —
+// sharding is execution policy, like the in-process executor's worker
+// count.
 //
 // The golden pre-pass runs exactly once: the coordinator fills the
 // on-disk GoldenStore before spawning workers, and workers load the
@@ -14,7 +15,8 @@
 //
 // Crash recovery: a worker that EOFs, errors, exceeds the unit timeout,
 // or sends a result that does not answer its in-flight unit (wrong id,
-// wrong outcome count, nothing in flight) is reaped, its in-flight unit
+// wrong outcome count, nothing in flight, a contamination count outside
+// [-1, nranks]) is reaped, its in-flight unit
 // is re-enqueued, and a replacement is spawned (shard.worker_restarts);
 // the re-run unit produces the same outcomes, so a crash costs time,
 // never correctness.

@@ -490,6 +490,8 @@ constexpr std::pair<const char*, const char*> kRogueModes[] = {
     {"wrong-count", "result for unit 0 carries 3 outcome(s) for 4 ref(s)"},
     {"duplicate", "result for unit 0 while unit 1 is in flight"},
     {"unsolicited", "from a worker with no unit in flight"},
+    {"bad-contamination",
+     "result for unit 0 reports 5 contaminated rank(s) in a 4-rank job"},
 };
 
 /// Run the rogue worker when argv[0] names one; -1 otherwise.
@@ -515,30 +517,42 @@ int maybe_rogue_worker_main(int argc, char** argv) {
     shard::read_handshake(fd);
     shard::write_handshake(fd);
     const auto init = std::get<shard::InitMsg>(*shard::read_message(fd));
-    if (mode == "unsolicited") {
-      // A result before the ready frame: no unit is in flight yet.
-      shard::write_message(fd, shard::ResultMsg{});
-    } else {
-      shard::write_message(fd, shard::ReadyMsg{});
-      const auto unit = std::get<shard::UnitMsg>(*shard::read_message(fd));
-      // Real outcomes, so only the framing is wrong.
-      const auto app =
-          apps::make_app(apps::parse_app_id(init.app), init.size_class);
-      harness::GoldenStore store(init.store);
-      const auto golden = store.load(*app, init.config.nranks);
-      const harness::TrialSpace space(*app, init.config, *golden);
+    // Real outcomes, so only the framing is wrong.
+    const auto app =
+        apps::make_app(apps::parse_app_id(init.app), init.size_class);
+    harness::GoldenStore store(init.store);
+    const auto golden = store.load(*app, init.config.nranks);
+    const harness::TrialSpace space(*app, init.config, *golden);
+    auto answer = [&](const shard::UnitMsg& unit) {
       shard::ResultMsg result;
       result.id = unit.id;
       for (const harness::TrialRef& ref : unit.refs) {
         result.outcomes.push_back(space.run(ref));
       }
+      return result;
+    };
+    if (mode == "unsolicited") {
+      // A result before the ready frame: no unit is in flight yet.
+      shard::write_message(fd, shard::ResultMsg{});
+    } else {
+      shard::write_message(fd, shard::ReadyMsg{});
+      shard::ResultMsg result =
+          answer(std::get<shard::UnitMsg>(*shard::read_message(fd)));
       if (mode == "wrong-id") result.id += 1;
       if (mode == "wrong-count") result.outcomes.pop_back();
+      if (mode == "bad-contamination") {
+        result.outcomes.front().contaminated = init.config.nranks + 1;
+      }
       shard::write_message(fd, result);
       if (mode == "duplicate") shard::write_message(fd, result);
     }
-    while (shard::read_message(fd)) {
-    }  // until the coordinator kills us
+    // Answer later units honestly until the coordinator kills us, so a bad
+    // frame it wrongly accepted shows up in the tallies, not as a hang.
+    while (const auto msg = shard::read_message(fd)) {
+      const auto* unit = std::get_if<shard::UnitMsg>(&*msg);
+      if (unit == nullptr) break;
+      shard::write_message(fd, answer(*unit));
+    }
   } catch (const std::exception&) {
   }
   return 0;
@@ -555,9 +569,10 @@ std::string rogue_worker(const std::string& dir, const std::string& name) {
 }
 
 // Result frames that do not answer the unit in flight on their worker — a
-// stray id, a wrong outcome count, a duplicate, a result before any unit —
-// never reach the tallies: the worker is replaced, its unit re-run, and
-// the campaign still saves the in-process bytes.
+// stray id, a wrong outcome count, a duplicate, a result before any unit,
+// a contamination count past the job's ranks — never reach the tallies:
+// the worker is replaced, its unit re-run, and the campaign still saves
+// the in-process bytes.
 TEST(ShardCampaign, MismatchedResultFramesAreRejectedAndReDispatched) {
   const auto app = apps::make_app(apps::AppId::CG);
   const harness::DeploymentConfig dep = small_config(16);
