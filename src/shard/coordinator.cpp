@@ -307,8 +307,8 @@ class Coordinator {
   /// outcome per ref, each contaminating between -1 (unknown) and nranks
   /// ranks. Anything else (a stray id, a wrong count, a duplicate or
   /// unsolicited result, a contamination count no job can have) comes
-  /// from a confused worker and must not reach the tallies. Returns why the frame is rejected, or ""
-  /// when it is valid.
+  /// from a confused worker and must not reach the tallies. Returns why
+  /// the frame is rejected, or "" when it is valid.
   std::string result_mismatch(const Worker& w, const ResultMsg& result) const {
     const std::string unit = "shard: result for unit " +
                              std::to_string(result.id);
