@@ -3,11 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/options.hpp"
 
 namespace resilience::harness {
 namespace {
@@ -107,12 +111,39 @@ TEST(Executor, ConcurrentBatchesShareThePool) {
   EXPECT_EQ(count.load(), 60);
 }
 
+/// Sets (or, with nullptr, unsets) RESILIENCE_THREADS for one scope and
+/// re-resolves the process-wide RuntimeOptions, which an earlier test may
+/// already have latched; the destructor restores the previous value.
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(const char* value) {
+    if (const char* prev = std::getenv(kVar)) saved_ = prev;
+    apply(value);
+  }
+  ~ThreadsEnv() { apply(saved_ ? saved_->c_str() : nullptr); }
+  ThreadsEnv(const ThreadsEnv&) = delete;
+  ThreadsEnv& operator=(const ThreadsEnv&) = delete;
+
+  static void apply(const char* value) {
+    if (value != nullptr) {
+      ::setenv(kVar, value, 1);
+    } else {
+      ::unsetenv(kVar);
+    }
+    util::RuntimeOptions::reset_global();
+  }
+
+ private:
+  static constexpr const char* kVar = "RESILIENCE_THREADS";
+  std::optional<std::string> saved_;
+};
+
 TEST(Executor, ResolveWorkersPrecedence) {
   EXPECT_EQ(Executor::resolve_workers(3), 3);
-  ::setenv("RESILIENCE_THREADS", "5", 1);
+  ThreadsEnv env("5");
   EXPECT_EQ(Executor::resolve_workers(0), 5);
   EXPECT_EQ(Executor::resolve_workers(2), 2);  // explicit beats env
-  ::unsetenv("RESILIENCE_THREADS");
+  ThreadsEnv::apply(nullptr);
   EXPECT_GE(Executor::resolve_workers(0), 1);
 }
 
