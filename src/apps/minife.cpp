@@ -1,7 +1,7 @@
 #include "apps/minife.hpp"
 
+#include <algorithm>
 #include <array>
-#include <map>
 #include <stdexcept>
 
 #include "apps/kernels.hpp"
@@ -78,100 +78,40 @@ MiniFeApp::MiniFeApp(Config config, std::string size_class)
   }
 }
 
+MiniFeApp::Pattern MiniFeApp::stencil_pattern(int nx, simmpi::BlockRange rows) {
+  const std::int64_t n = nx + 1;
+  Pattern pat{{0}, {}};
+  pat.col_idx.reserve(static_cast<std::size_t>(rows.count()) * 27);
+  for (std::int64_t row = rows.lo; row < rows.hi; ++row) {
+    const std::int64_t x = row % n, y = row / n % n, z = row / (n * n);
+    for (auto k = std::max<std::int64_t>(z - 1, 0); k < std::min(z + 2, n); ++k) {
+      for (auto j = std::max<std::int64_t>(y - 1, 0); j < std::min(y + 2, n); ++j) {
+        for (auto i = std::max<std::int64_t>(x - 1, 0); i < std::min(x + 2, n); ++i) {
+          pat.col_idx.push_back(i + n * (j + n * k));
+        }
+      }
+    }
+    pat.row_ptr.push_back(pat.col_idx.size());
+  }
+  return pat;
+}
+
 AppResult MiniFeApp::run(simmpi::Comm& comm) const {
   const int p = comm.size();
   const int rank = comm.rank();
   const int nx = config_.nx;
   const std::int64_t nodes_per_side = nx + 1;
   const std::int64_t n_nodes = nodes_per_side * nodes_per_side * nodes_per_side;
-  const std::int64_t n_elems =
-      static_cast<std::int64_t>(nx) * nx * nx;
+  const std::int64_t n_elems = static_cast<std::int64_t>(nx) * nx * nx;
 
   const auto row_block = simmpi::block_partition(n_nodes, p, rank);
   const auto elem_block = simmpi::block_partition(n_elems, p, rank);
   const auto local_rows = static_cast<std::size_t>(row_block.count());
 
-  auto node_id = [&](int x, int y, int z) -> std::int64_t {
-    return x + nodes_per_side * (y + nodes_per_side * z);
-  };
-
-  // ---- assembly --------------------------------------------------------
-  // Owned rows accumulate into ordered per-row maps (deterministic CSR
-  // order); contributions to remote rows are queued per owning rank.
-  std::vector<std::map<std::int64_t, Real>> rows(local_rows);
-  std::vector<std::vector<Contribution>> outgoing(static_cast<std::size_t>(p));
-
-  for (std::int64_t e = elem_block.lo; e < elem_block.hi; ++e) {
-    const int ex = static_cast<int>(e % nx);
-    const int ey = static_cast<int>((e / nx) % nx);
-    const int ez = static_cast<int>(e / (static_cast<std::int64_t>(nx) * nx));
-    // Per-element material coefficient, deterministic in the element id.
-    util::Xoshiro256 rng(
-        util::derive_seed(config_.material_seed, static_cast<std::uint64_t>(e)));
-    const Real rho(rng.uniform_real(0.5, 1.5));
-
-    std::int64_t elem_nodes[8];
-    for (int a = 0; a < 8; ++a) {
-      elem_nodes[a] =
-          node_id(ex + (a & 1), ey + ((a >> 1) & 1), ez + ((a >> 2) & 1));
-    }
-    for (int a = 0; a < 8; ++a) {
-      const std::int64_t row = elem_nodes[a];
-      const int owner = simmpi::block_owner(n_nodes, p, row);
-      for (int b = 0; b < 8; ++b) {
-        const Real val =
-            rho * Real(ref_stiffness_[static_cast<std::size_t>(a * 8 + b)]);
-        if (owner == rank) {
-          rows[static_cast<std::size_t>(row - row_block.lo)][elem_nodes[b]] +=
-              val;
-        } else {
-          outgoing[static_cast<std::size_t>(owner)].push_back(
-              {row, elem_nodes[b], val});
-        }
-      }
-    }
-  }
-
-  if (p > 1) {
-    // Sparse all-to-all: exchange counts, then targeted payload sends.
-    std::vector<std::int64_t> send_counts(static_cast<std::size_t>(p), 0);
-    for (int r = 0; r < p; ++r) {
-      send_counts[static_cast<std::size_t>(r)] =
-          static_cast<std::int64_t>(outgoing[static_cast<std::size_t>(r)].size());
-    }
-    std::vector<std::int64_t> recv_counts(static_cast<std::size_t>(p), 0);
-    comm.alltoall(std::span<const std::int64_t>(send_counts),
-                  std::span<std::int64_t>(recv_counts));
-    for (int r = 0; r < p; ++r) {
-      if (r != rank && !outgoing[static_cast<std::size_t>(r)].empty()) {
-        comm.send(r, kContribTag,
-                  std::span<const Contribution>(outgoing[static_cast<std::size_t>(r)]));
-      }
-    }
-    // Merge received contributions in rank order: the parallel-unique
-    // computation of this benchmark (serial execution assembles every row
-    // locally and never executes this merge).
-    fsefi::RegionScope unique(fsefi::Region::ParallelUnique);
-    for (int r = 0; r < p; ++r) {
-      const auto count = recv_counts[static_cast<std::size_t>(r)];
-      if (r == rank || count == 0) continue;
-      std::vector<Contribution> incoming(static_cast<std::size_t>(count));
-      comm.recv(r, kContribTag, std::span<Contribution>(incoming));
-      for (const auto& c : incoming) {
-        rows[static_cast<std::size_t>(c.row - row_block.lo)][c.col] += c.val;
-      }
-    }
-  }
-
-  // Regularization A = K + shift I keeps the pure-Neumann operator SPD.
-  for (std::int64_t i = row_block.lo; i < row_block.hi; ++i) {
-    rows[static_cast<std::size_t>(i - row_block.lo)][i] +=
-        Real(config_.mass_shift);
-  }
-
-  // ---- CG solve of A x = b -----------------------------------------------
+  // ---- CG vectors of A x = b and the matrix pattern ----------------------
   // b varies per node: a constant right-hand side would be solved exactly
-  // in one step because the stiffness has zero row sums.
+  // in one step because the stiffness has zero row sums. Everything here
+  // is uninstrumented construction: no op runs before begin().
   std::vector<Real> x(local_rows, Real(0.0)), b(local_rows);
   for (std::int64_t i = row_block.lo; i < row_block.hi; ++i) {
     util::Xoshiro256 rng(util::derive_seed(config_.material_seed ^ 0xb5u,
@@ -180,34 +120,9 @@ AppResult MiniFeApp::run(simmpi::Comm& comm) const {
         Real(rng.uniform_real(0.1, 1.0));
   }
   std::vector<Real> r(b), d(b), q(local_rows);
-
-  // Flatten the assembled per-row maps into CSR-style arrays (pure copies,
-  // no FP operations) so the solve's matvec runs on the blocked
-  // row-gather kernel instead of chasing map nodes per entry.
-  std::vector<std::size_t> row_ptr(local_rows + 1, 0);
-  std::vector<std::int64_t> col_idx;
-  std::vector<Real> mat_vals;
-  for (std::size_t i = 0; i < local_rows; ++i) {
-    for (const auto& [col, val] : rows[i]) {
-      col_idx.push_back(col);
-      mat_vals.push_back(val);
-    }
-    row_ptr[i + 1] = col_idx.size();
-  }
-
-  auto matvec = [&](std::span<const Real> in_local, std::span<Real> out) {
-    const std::vector<Real> full = allgather_blocks(comm, in_local, n_nodes);
-    for (std::size_t i = 0; i < local_rows; ++i) {
-      const std::size_t first = row_ptr[i];
-      const std::size_t count = row_ptr[i + 1] - first;
-      out[i] = gather_dot(std::span<const Real>(mat_vals).subspan(first, count),
-                          std::span<const std::int64_t>(col_idx).subspan(first, count),
-                          full);
-    }
-  };
-
-  Real rho_r = global_dot(comm, r, r);
-  Real rnorm = sqrt(rho_r);
+  const auto [row_ptr, col_idx] = stencil_pattern(nx, row_block);
+  std::vector<Real> mat_vals(col_idx.size(), Real(0.0));
+  Real rho_r(0.0), rnorm(0.0);
 
   // Boundary hook (DESIGN.md §9): the CG vectors and scalars carried across
   // iterations, plus the assembled matrix values — assembly computes them
@@ -222,11 +137,96 @@ AppResult MiniFeApp::run(simmpi::Comm& comm) const {
         StateView::reals(d),      StateView::real(rho_r),
         StateView::real(rnorm),   StateView::reals(mat_vals)};
   };
-  int it = 0;
-  if (ctl != nullptr) {
-    const auto vw = views();
-    it = ctl->begin(vw);
+  int it = ctl != nullptr ? ctl->begin(views()) : 0;
+
+  // ---- assembly (skipped when begin() restored a checkpoint) ------------
+  // Contributions accumulate straight into their CSR slots; those to remote
+  // rows are queued per owning rank.
+  if (it == 0) {
+    // The (row, col) slot: binary search over the row's <= 27 columns.
+    auto slot = [&](std::int64_t row, std::int64_t col) -> Real& {
+      const auto i = static_cast<std::size_t>(row - row_block.lo);
+      const std::int64_t* cols = col_idx.data();
+      return mat_vals[static_cast<std::size_t>(
+          std::lower_bound(cols + row_ptr[i], cols + row_ptr[i + 1], col) - cols)];
+    };
+    std::vector<std::vector<Contribution>> outgoing(static_cast<std::size_t>(p));
+    for (std::int64_t e = elem_block.lo; e < elem_block.hi; ++e) {
+      const int ex = static_cast<int>(e % nx);
+      const int ey = static_cast<int>((e / nx) % nx);
+      const int ez = static_cast<int>(e / (static_cast<std::int64_t>(nx) * nx));
+      // Per-element material coefficient, deterministic in the element id.
+      util::Xoshiro256 rng(
+          util::derive_seed(config_.material_seed, static_cast<std::uint64_t>(e)));
+      const Real rho(rng.uniform_real(0.5, 1.5));
+
+      std::int64_t elem_nodes[8];
+      for (int a = 0; a < 8; ++a) {
+        elem_nodes[a] = ex + (a & 1) + nodes_per_side * (
+            ey + ((a >> 1) & 1) + nodes_per_side * (ez + ((a >> 2) & 1)));
+      }
+      for (int a = 0; a < 8; ++a) {
+        const std::int64_t row = elem_nodes[a];
+        const int owner = simmpi::block_owner(n_nodes, p, row);
+        for (int c = 0; c < 8; ++c) {
+          const Real val =
+              rho * Real(ref_stiffness_[static_cast<std::size_t>(a * 8 + c)]);
+          if (owner == rank) {
+            slot(row, elem_nodes[c]) += val;
+          } else {
+            outgoing[static_cast<std::size_t>(owner)].push_back(
+                {row, elem_nodes[c], val});
+          }
+        }
+      }
+    }
+
+    if (p > 1) {
+      // Sparse all-to-all: exchange counts, then targeted payload sends.
+      std::vector<std::int64_t> send_counts(static_cast<std::size_t>(p), 0);
+      for (std::size_t peer = 0; peer < outgoing.size(); ++peer) {
+        send_counts[peer] = static_cast<std::int64_t>(outgoing[peer].size());
+      }
+      std::vector<std::int64_t> recv_counts(static_cast<std::size_t>(p), 0);
+      comm.alltoall(std::span<const std::int64_t>(send_counts),
+                    std::span<std::int64_t>(recv_counts));
+      for (int peer = 0; peer < p; ++peer) {
+        const auto& out = outgoing[static_cast<std::size_t>(peer)];
+        if (peer != rank && !out.empty()) {
+          comm.send(peer, kContribTag, std::span<const Contribution>(out));
+        }
+      }
+      // Merge received contributions in rank order: the parallel-unique
+      // computation of this benchmark (serial execution assembles every
+      // row locally and never executes this merge).
+      fsefi::RegionScope unique(fsefi::Region::ParallelUnique);
+      for (int peer = 0; peer < p; ++peer) {
+        const auto count = recv_counts[static_cast<std::size_t>(peer)];
+        if (peer == rank || count == 0) continue;
+        std::vector<Contribution> incoming(static_cast<std::size_t>(count));
+        comm.recv(peer, kContribTag, std::span<Contribution>(incoming));
+        for (const auto& c : incoming) slot(c.row, c.col) += c.val;
+      }
+    }
+
+    // Regularization A = K + shift I keeps the pure-Neumann operator SPD.
+    for (std::int64_t i = row_block.lo; i < row_block.hi; ++i) {
+      slot(i, i) += Real(config_.mass_shift);
+    }
+    rho_r = global_dot(comm, r, r);
+    rnorm = sqrt(rho_r);
   }
+
+  auto matvec = [&](std::span<const Real> in_local, std::span<Real> out) {
+    const std::vector<Real> full = allgather_blocks(comm, in_local, n_nodes);
+    for (std::size_t i = 0; i < local_rows; ++i) {
+      const std::size_t first = row_ptr[i];
+      const std::size_t count = row_ptr[i + 1] - first;
+      out[i] = gather_dot(std::span<const Real>(mat_vals).subspan(first, count),
+                          std::span<const std::int64_t>(col_idx).subspan(first, count),
+                          full);
+    }
+  };
 
   for (; it < config_.cg_iters; ++it) {
     matvec(d, q);

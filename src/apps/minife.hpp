@@ -5,6 +5,12 @@
 // material coefficient) and solves it with unpreconditioned conjugate
 // gradients.
 //
+// Assembly accumulates straight into a fixed compressed-row pattern: the
+// 27-point node stencil clipped at the mesh edges (two nodes share an
+// element exactly when they differ by at most 1 on each axis), columns
+// ascending. It runs after TrialControl::begin(), so a trial restored from
+// a checkpoint takes the matrix from it and skips assembly altogether.
+//
 // Parallelization (strong scaling): elements and matrix rows are block-
 // partitioned over the flattened index spaces. During assembly, an
 // element owned by one rank contributes to node rows owned by another;
@@ -20,8 +26,10 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "apps/app.hpp"
+#include "simmpi/topology.hpp"
 
 namespace resilience::apps {
 
@@ -34,7 +42,17 @@ class MiniFeApp final : public App {
     std::uint64_t material_seed = 0xfe1e57ULL;
   };
 
+  /// Compressed-row sparsity of a block of matrix rows.
+  struct Pattern {
+    std::vector<std::size_t> row_ptr;  ///< rows.count() + 1 offsets
+    std::vector<std::int64_t> col_idx;
+  };
+
   static Config config_for_class(const std::string& size_class);
+
+  /// The stencil pattern of rows [rows.lo, rows.hi) on an nx^3-element
+  /// brick (nodes numbered x + (nx+1) * (y + (nx+1) * z)).
+  static Pattern stencil_pattern(int nx, simmpi::BlockRange rows);
 
   MiniFeApp(Config config, std::string size_class);
 

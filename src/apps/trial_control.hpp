@@ -71,11 +71,14 @@ class TrialControl {
  public:
   virtual ~TrialControl() = default;
 
-  /// Called once per rank, after setup, before the first outer iteration.
-  /// The views describe the same live state later passed to boundary().
-  /// Returns the iteration index to start the loop at: 0 for a normal run;
-  /// > 0 after the controller restored the views (and this rank's dynamic
-  /// op counters) to the fault-free state at that boundary.
+  /// Called once per rank before the first outer iteration, and before
+  /// any setup that executes instrumented ops (only uninstrumented
+  /// construction, such as sizing the views, may precede it). The views
+  /// describe the same live state later passed to boundary(). Returns the
+  /// iteration index to start the loop at: 0 for a normal run, which then
+  /// runs its setup; > 0 after the controller restored the views (and
+  /// this rank's dynamic op counters) to the fault-free state at that
+  /// boundary, in which case the app skips that setup.
   virtual int begin(std::span<const StateView> views) = 0;
 
   /// Called at the end of outer iteration `iter` — a global sync point on

@@ -170,8 +170,8 @@ struct CheckpointData {
 
 // ---- golden capture --------------------------------------------------------
 
-/// Per-rank record of one boundary, written by CaptureControl on the rank
-/// thread; the runner assembles the per-rank streams into CheckpointData.
+/// Per-rank record of one boundary, written by CaptureControl on the rank's
+/// fiber; the runner assembles the per-rank streams into CheckpointData.
 struct RankBoundary {
   int iter = 0;
   fsefi::OpCountProfile profile;

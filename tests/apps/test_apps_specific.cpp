@@ -1,7 +1,12 @@
 // Numerical sanity of each benchmark's algorithm: the solvers must
 // actually solve (residuals small / decreasing), the hydro must conserve,
-#include <cmath>
 // and the configurations must match their declared input problems.
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <set>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "apps/cg.hpp"
@@ -165,6 +170,59 @@ TEST(MiniFe, DistributedAssemblyMatchesSerial) {
   const auto parallel = run_signature(app, 8);
   for (std::size_t i = 1; i < serial.size(); ++i) {  // skip near-zero rnorm
     EXPECT_NEAR(serial[i], parallel[i], 1e-8 * (std::abs(serial[i]) + 1.0));
+  }
+}
+
+TEST(MiniFe, StencilPatternMatchesElementConnectivity) {
+  // The fixed CSR pattern is exactly the set of (row, col) node pairs that
+  // share an element: assembly finds a slot for every contribution and no
+  // slot stays empty. Row blocks cover uneven splits and empty ranks.
+  for (const int nx : {2, 6, 10}) {
+    const std::int64_t n = nx + 1;
+    std::set<std::pair<std::int64_t, std::int64_t>> connected;
+    for (int ez = 0; ez < nx; ++ez) {
+      for (int ey = 0; ey < nx; ++ey) {
+        for (int ex = 0; ex < nx; ++ex) {
+          std::int64_t nodes[8];
+          for (int a = 0; a < 8; ++a) {
+            nodes[a] = ex + (a & 1) +
+                       n * (ey + ((a >> 1) & 1) + n * (ez + ((a >> 2) & 1)));
+          }
+          for (const std::int64_t row : nodes) {
+            for (const std::int64_t col : nodes) connected.emplace(row, col);
+          }
+        }
+      }
+    }
+    for (const int p : {1, 3, 7, 8, 64}) {
+      SCOPED_TRACE("nx=" + std::to_string(nx) + " p=" + std::to_string(p));
+      std::size_t entries = 0;
+      for (int rank = 0; rank < p; ++rank) {
+        const auto rows = simmpi::block_partition(n * n * n, p, rank);
+        const auto pattern = MiniFeApp::stencil_pattern(nx, rows);
+        ASSERT_EQ(pattern.row_ptr.size(),
+                  static_cast<std::size_t>(rows.count()) + 1);
+        ASSERT_EQ(pattern.row_ptr.back(), pattern.col_idx.size());
+        std::set<std::pair<std::int64_t, std::int64_t>> got;
+        for (std::int64_t row = rows.lo; row < rows.hi; ++row) {
+          const auto i = static_cast<std::size_t>(row - rows.lo);
+          const auto first = pattern.col_idx.begin() +
+                             static_cast<std::ptrdiff_t>(pattern.row_ptr[i]);
+          const auto last = pattern.col_idx.begin() +
+                            static_cast<std::ptrdiff_t>(pattern.row_ptr[i + 1]);
+          // Strictly ascending columns: the lower_bound lookup needs it.
+          EXPECT_EQ(std::adjacent_find(first, last, std::greater_equal<>()),
+                    last);
+          for (auto it = first; it != last; ++it) got.emplace(row, *it);
+        }
+        const std::set<std::pair<std::int64_t, std::int64_t>> want(
+            connected.lower_bound({rows.lo, 0}),
+            connected.lower_bound({rows.hi, 0}));
+        EXPECT_EQ(got, want) << "rank " << rank;
+        entries += pattern.col_idx.size();
+      }
+      EXPECT_EQ(entries, connected.size());
+    }
   }
 }
 
