@@ -398,6 +398,46 @@ void BM_FftTransformUnderContextReference(benchmark::State& state) {
 }
 BENCHMARK(BM_FftTransformUnderContextReference)->Repetitions(9);
 
+/// One damped-Jacobi sweep of MG's finest level (128 x 10, one rank) under
+/// an unarmed context: quiet windows of whole cells run as raw double
+/// arithmetic. The sweep writes a separate buffer, so every iteration
+/// smooths the same input.
+void mg_smooth_under_context(benchmark::State& state) {
+  constexpr int rows = 128;
+  constexpr int cols = 10;
+  constexpr std::size_t cells = std::size_t{rows} * cols;
+  const resilience::apps::RowBlock block{
+      .lo = 0, .count = rows, .rows = rows, .cols = cols};
+  std::vector<Real> u(cells), f(cells), next(cells), halo(cols, Real(0.0));
+  for (std::size_t k = 0; k < cells; ++k) {
+    u[k] = Real(0.5 + 0.001 * static_cast<double>(k));
+    f[k] = Real(0.25 - 0.002 * static_cast<double>(k));
+  }
+  FaultContext ctx;
+  ctx.reset();
+  ContextGuard guard(&ctx);
+  for (auto _ : state) {
+    resilience::apps::jacobi_sweep(block, u, f, halo, halo, 0.8, next);
+    benchmark::DoNotOptimize(next.data());
+    benchmark::ClobberMemory();
+  }
+  // 5 Add + 3 Mul + 1 Sub per cell.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cells) * 9);
+}
+
+void BM_MgSmoothUnderContext(benchmark::State& state) {
+  mg_smooth_under_context(state);
+}
+BENCHMARK(BM_MgSmoothUnderContext)->Repetitions(9);
+
+/// The same sweep on the per-op reference path (quiet_ops is 0).
+void BM_MgSmoothUnderContextReference(benchmark::State& state) {
+  FastRealMode mode(false);
+  mg_smooth_under_context(state);
+}
+BENCHMARK(BM_MgSmoothUnderContextReference)->Repetitions(9);
+
 // Per-trial job launch latency: create one fiber per rank, run the empty
 // body, join — all on the calling thread.
 void BM_JobSpawnJoin(benchmark::State& state) {

@@ -18,9 +18,11 @@
 // divergence while the rank is not yet contaminated falls back to the
 // per-op path so first-contamination tracking fires at the same op.
 //
-// Blocked kernels: local_dot, sparse_row_dot, gather_dot, axpy and xpby
-// here, and FftPlan::transform (apps/fft.cpp), whose radix-2 butterfly is
-// accounted as 4 Mul + 3 Sub + 3 Add per butterfly.
+// Blocked kernels: local_dot, sparse_row_dot, gather_dot, axpy and xpby;
+// MG's 5-point stencils jacobi_sweep (5 Add + 3 Mul + 1 Sub per cell) and
+// stencil_residual (1 Mul + 5 Sub per cell), whose windows are whole cells
+// of a row block; and FftPlan::transform (apps/fft.cpp), whose radix-2
+// butterfly is accounted as 4 Mul + 3 Sub + 3 Add per butterfly.
 #pragma once
 
 #include <bit>
@@ -83,13 +85,40 @@ std::vector<Real> allgather_blocks(simmpi::Comm& comm,
 /// Exchange one value-row of width `width` with the previous and next rank
 /// of a 1D chain (rank-1 and rank+1; skipped at the ends). On return,
 /// `from_prev`/`from_next` hold the neighbour rows (untouched at ends).
-/// Ranks with `active == false` do not participate; the caller must ensure
-/// the chain of active ranks is contiguous starting at rank 0.
 void exchange_halo_rows(simmpi::Comm& comm, int tag_base,
                         std::span<const Real> to_prev,
                         std::span<const Real> to_next,
                         std::span<Real> from_prev, std::span<Real> from_next,
                         int prev_rank, int next_rank);
+
+/// One rank's row block of a `rows` x `cols` grid of interior points that
+/// is block-partitioned by rows: this rank owns global rows
+/// [lo, lo + count), stored row-major.
+struct RowBlock {
+  int lo = 0;
+  int count = 0;
+  int rows = 0;
+  int cols = 0;
+};
+
+/// One damped-Jacobi sweep of the 5-point Laplacian (h = 1, zero
+/// Dirichlet boundary) over `block`, per cell
+///   gs   = 0.25 * ((((f + up) + down) + left) + right)
+///   next = (1 - omega) * u + omega * gs
+/// `above`/`below` are the halo rows read where the block ends inside the
+/// grid; past the grid's edge a neighbour is zero. `next` must not alias
+/// `u` or `f`.
+void jacobi_sweep(RowBlock block, std::span<const Real> u,
+                  std::span<const Real> f, std::span<const Real> above,
+                  std::span<const Real> below, double omega,
+                  std::span<Real> next);
+
+/// Residual of the same operator over `block`, per cell
+///   r = f - ((((4 * u - up) - down) - left) - right)
+/// `r` must not alias `u` or `f`.
+void stencil_residual(RowBlock block, std::span<const Real> u,
+                      std::span<const Real> f, std::span<const Real> above,
+                      std::span<const Real> below, std::span<Real> r);
 
 /// Throw NumericalError if `v` is not finite. `what` names the guarded
 /// quantity in the error message.

@@ -123,32 +123,16 @@ class MgSolver {
         std::span<Real>(above), std::span<Real>(below), prev, next);
   }
 
-  /// One damped-Jacobi sweep on `lvl` (5-point Laplacian, h = 1).
+  static RowBlock block(const Level& lvl) {
+    return {lvl.lo, lvl.count, lvl.rows, lvl.cols};
+  }
+
+  /// `sweeps` damped-Jacobi sweeps on `lvl` (5-point Laplacian, h = 1).
   void smooth(Level& lvl, int sweeps, int tag_base) {
     std::vector<Real> above, below, next(lvl.u.size());
-    const Real omega(cfg_.omega);
-    const Real quarter(0.25);
     for (int s = 0; s < sweeps; ++s) {
       fetch_halo(lvl, lvl.u, above, below, tag_base + 2 * s);
-      for (int i = 0; i < lvl.count; ++i) {
-        for (int j = 0; j < lvl.cols; ++j) {
-          const Real up = (i > 0) ? lvl.u[at(lvl, i - 1, j)]
-                                  : (lvl.lo + i > 0 ? above[static_cast<std::size_t>(j)]
-                                                    : Real(0.0));
-          const Real down =
-              (i + 1 < lvl.count)
-                  ? lvl.u[at(lvl, i + 1, j)]
-                  : (lvl.lo + i + 1 < lvl.rows ? below[static_cast<std::size_t>(j)]
-                                               : Real(0.0));
-          const Real left = (j > 0) ? lvl.u[at(lvl, i, j - 1)] : Real(0.0);
-          const Real right =
-              (j + 1 < lvl.cols) ? lvl.u[at(lvl, i, j + 1)] : Real(0.0);
-          const Real gs =
-              quarter * (lvl.f[at(lvl, i, j)] + up + down + left + right);
-          next[at(lvl, i, j)] =
-              (Real(1.0) - omega) * lvl.u[at(lvl, i, j)] + omega * gs;
-        }
-      }
+      jacobi_sweep(block(lvl), lvl.u, lvl.f, above, below, cfg_.omega, next);
       lvl.u.swap(next);
     }
   }
@@ -158,24 +142,7 @@ class MgSolver {
     std::vector<Real> above, below;
     fetch_halo(lvl, lvl.u, above, below, tag_base);
     r.resize(lvl.u.size());
-    for (int i = 0; i < lvl.count; ++i) {
-      for (int j = 0; j < lvl.cols; ++j) {
-        const Real up = (i > 0) ? lvl.u[at(lvl, i - 1, j)]
-                                : (lvl.lo + i > 0 ? above[static_cast<std::size_t>(j)]
-                                                  : Real(0.0));
-        const Real down =
-            (i + 1 < lvl.count)
-                ? lvl.u[at(lvl, i + 1, j)]
-                : (lvl.lo + i + 1 < lvl.rows ? below[static_cast<std::size_t>(j)]
-                                             : Real(0.0));
-        const Real left = (j > 0) ? lvl.u[at(lvl, i, j - 1)] : Real(0.0);
-        const Real right =
-            (j + 1 < lvl.cols) ? lvl.u[at(lvl, i, j + 1)] : Real(0.0);
-        const Real au =
-            Real(4.0) * lvl.u[at(lvl, i, j)] - up - down - left - right;
-        r[at(lvl, i, j)] = lvl.f[at(lvl, i, j)] - au;
-      }
-    }
+    stencil_residual(block(lvl), lvl.u, lvl.f, above, below, r);
   }
 
   /// Row-direction full-weighting restriction of `fine_r` (layout of

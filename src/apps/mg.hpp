@@ -6,13 +6,16 @@
 // verification quantity) plus the solution norm.
 //
 // Parallelization (strong scaling): rows are block-partitioned; smoothing
-// and residual evaluation exchange one halo row with each neighbour.
+// and residual evaluation exchange one halo row with each neighbour and
+// run as the blocked stencil kernels of apps/kernels.hpp.
 // Levels whose row count is no longer divisible by the rank count are
-// *agglomerated*: the residual is allgathered and every rank runs the
-// remaining coarse-grid correction redundantly — a standard HPC multigrid
-// technique that keeps all computation common between serial and parallel
-// execution (Table 1 of the paper reports no parallel-unique computation
-// for MG).
+// *replicated*: the residual is allgathered and every rank runs the
+// remaining coarse-grid correction redundantly. That work does not exist
+// in the serial run, so the op count grows with the rank count: 395,605
+// FP ops serially, 6,005,440 at 64 ranks, where the 32-, 16- and 8-row
+// levels are replicated (Table 1 of the paper reports no parallel-unique
+// computation for MG). ROADMAP.md's MG coarse-grid item tracks
+// distributing those levels instead.
 #pragma once
 
 #include <cstdint>

@@ -138,10 +138,22 @@ TEST(FastRealDiff, HangBudgetRunBitIdenticalToReference) {
 
 TEST(FastRealDiff, CampaignBitIdenticalToReference) {
   FastRealRestore restore;
-  for (const auto id : {apps::AppId::CG, apps::AppId::MG}) {
-    const auto app = apps::make_app(id);
+  struct Case {
+    apps::AppId id;
+    int nranks;
+    int errors_per_test;
+  };
+  // MG at 1 rank with 8 errors puts many event windows mid-stencil; 16
+  // ranks is the smallest count at which an MG level (the 8-row coarsest)
+  // is replicated on every rank.
+  for (const Case c : {Case{apps::AppId::CG, 4, 1},
+                       Case{apps::AppId::MG, 4, 1},
+                       Case{apps::AppId::MG, 1, 8},
+                       Case{apps::AppId::MG, 16, 1}}) {
+    const auto app = apps::make_app(c.id);
     DeploymentConfig cfg;
-    cfg.nranks = 4;
+    cfg.nranks = c.nranks;
+    cfg.errors_per_test = c.errors_per_test;
     cfg.trials = 25;
     cfg.seed = 20180813;
 
@@ -150,7 +162,9 @@ TEST(FastRealDiff, CampaignBitIdenticalToReference) {
     fsefi::set_fast_real_enabled(true);
     const auto fast = CampaignRunner::run(*app, cfg);
 
-    const std::string label = app->label();
+    const std::string label = app->label() + " ranks " +
+                              std::to_string(c.nranks) + " errors " +
+                              std::to_string(c.errors_per_test);
     EXPECT_EQ(fast.overall.trials, ref.overall.trials) << label;
     EXPECT_EQ(fast.overall.success, ref.overall.success) << label;
     EXPECT_EQ(fast.overall.sdc, ref.overall.sdc) << label;
