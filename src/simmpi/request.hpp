@@ -7,9 +7,10 @@
 // exchange posts.
 #pragma once
 
-#include <cstring>
-#include <optional>
 #include <cassert>
+#include <cstring>
+#include <exception>
+#include <optional>
 #include <span>
 
 #include "simmpi/errors.hpp"
@@ -23,7 +24,10 @@ class Comm;
 /// Handle for an outstanding nonblocking operation. Move-only; must be
 /// completed with wait() (or via Comm::wait_all) before destruction —
 /// destroying an incomplete receive request is a usage bug and terminates
-/// in debug builds.
+/// in debug builds. The one exception is a request destroyed while an
+/// exception unwinds its rank (an aborted job tearing down, or a wait
+/// that threw before later requests were waited on): no one will ever
+/// read that message, so dropping it is legal.
 class Request {
  public:
   Request() = default;
@@ -42,8 +46,10 @@ class Request {
   Request& operator=(const Request&) = delete;
 
   ~Request() {
-    // An abandoned pending receive would silently drop a message.
-    assert(!pending_ && "Request destroyed before wait()");
+    // An abandoned pending receive would silently drop a message, unless
+    // the rank is unwinding and will never read it.
+    assert((!pending_ || std::uncaught_exceptions() > 0) &&
+           "Request destroyed before wait()");
   }
 
   /// Block until the operation completes (no-op for completed requests
