@@ -251,112 +251,44 @@ void xpby(std::span<const Real> x, Real beta, std::span<Real> y) {
 
 namespace {
 
-/// Ops of one stencil cell, by kind.
-struct CellOps {
-  std::uint64_t add = 0;
-  std::uint64_t sub = 0;
-  std::uint64_t mul = 0;
-};
-
-/// A cell of a row block: row i, column j, row-major index c.
-struct CellPos {
-  int i = 0;
-  int j = 0;
-  std::size_t c = 0;
-};
-
-/// What one 5-point stencil cell reads.
-struct StencilInputs {
-  Real u, f, up, down, left, right;
-};
-
-/// The window driver shared by the row-block stencils. `cell` is the
-/// stencil's per-cell expression, generic over its arithmetic type:
-/// called with Real it is the per-op instrumented form; called with the
-/// primary (or shadow) doubles it computes the same value in the same
-/// order. A window is quiet_ops(k * remaining) / k whole cells in
-/// row-major order, k being the cell's op count. Outputs go to `out`,
-/// never an input, so the divergence scan is fused with the raw compute
-/// and a window that must run per-op is simply recomputed.
-template <class Cell>
-void run_stencil(RowBlock g, std::span<const Real> u, std::span<const Real> f,
-                 std::span<const Real> above, std::span<const Real> below,
-                 std::span<Real> out, CellOps ops, Cell cell) {
+/// Runs a 5-point stencil over `g` as cells of run_cells. `expr` is the
+/// stencil's per-cell expression, generic over its arithmetic type, and
+/// runs `ops`; its result goes to `out`, never an input. A neighbour is u
+/// inside the block, a halo row past the block's edge and zero past the
+/// grid's edge.
+template <class Expr>
+void stencil_cells(RowBlock g, std::span<const Real> u,
+                   std::span<const Real> f, std::span<const Real> above,
+                   std::span<const Real> below, std::span<Real> out,
+                   CellOps ops, Expr expr) {
   const auto cols = static_cast<std::size_t>(g.cols);
-  // A neighbour is u inside the block, a halo row past the block's edge
-  // and zero past the grid's edge.
-  const auto inputs = [&](int i, int j, std::size_t c) {
-    const auto col = static_cast<std::size_t>(j);
-    const Real up = (i > 0) ? u[c - cols]
-                            : (g.lo + i > 0 ? above[col] : Real(0.0));
-    const Real down = (i + 1 < g.count)
-                          ? u[c + cols]
-                          : (g.lo + i + 1 < g.rows ? below[col] : Real(0.0));
-    const Real left = (j > 0) ? u[c - 1] : Real(0.0);
-    const Real right = (j + 1 < g.cols) ? u[c + 1] : Real(0.0);
-    return StencilInputs{u[c], f[c], up, down, left, right};
-  };
-  const auto per_op = [&](int i, int j, std::size_t c) {
-    const StencilInputs in = inputs(i, j, c);
-    out[c] = cell(in.u, in.f, in.up, in.down, in.left, in.right);
-  };
-  // Computes the cell raw and returns its inputs' divergence bits.
-  const auto raw = [&](int i, int j, std::size_t c) {
-    const StencilInputs in = inputs(i, j, c);
-    out[c] = Real::corrupted(
-        cell(in.u.value(), in.f.value(), in.up.value(), in.down.value(),
-             in.left.value(), in.right.value()),
-        cell(in.u.shadow(), in.f.shadow(), in.up.shadow(), in.down.shadow(),
-             in.left.shadow(), in.right.shadow()));
-    return diverged_bits(in.u) | diverged_bits(in.f) | diverged_bits(in.up) |
-           diverged_bits(in.down) | diverged_bits(in.left) |
-           diverged_bits(in.right);
-  };
-  // Visits `n` cells in row-major order from `at`; returns the next cell.
-  const auto for_cells = [&](CellPos at, std::size_t n, auto&& fn) {
-    for (; n > 0; --n) {
-      fn(at.i, at.j, at.c);
-      ++at.c;
-      if (++at.j == g.cols) {
-        at.j = 0;
-        ++at.i;
-      }
-    }
-    return at;
-  };
-
   const std::size_t cells = static_cast<std::size_t>(g.count) * cols;
-  FaultContext* ctx = fsefi::current_context();
-  if (ctx == nullptr) {
-    // Uninstrumented: the whole block is one raw window.
-    for_cells(CellPos{}, cells, raw);
-    return;
-  }
-  const std::uint64_t k = ops.add + ops.sub + ops.mul;
-  CellPos at;
-  while (at.c < cells) {
-    const auto window =
-        static_cast<std::size_t>(ctx->quiet_ops(k * (cells - at.c)) / k);
-    if (window == 0) {
-      // An event may fire in this cell (or the reference path is on).
-      at = for_cells(at, 1, per_op);
-      continue;
-    }
-    std::uint64_t diff = 0;
-    const CellPos end = for_cells(at, window, [&](int i, int j, std::size_t c) {
-      diff |= raw(i, j, c);
-    });
-    if (may_block(*ctx, diff)) {
-      ctx->on_block(OpKind::Add, ops.add * window);
-      ctx->on_block(OpKind::Sub, ops.sub * window);
-      ctx->on_block(OpKind::Mul, ops.mul * window);
-    } else {
-      // Divergent inputs on a not-yet-contaminated rank: redo the window
-      // per-op so first-contamination tracking observes the exact op.
-      for_cells(at, window, per_op);
-    }
-    at = end;
-  }
+  run_cells(
+      cells, g.cols, ops.add + ops.sub + ops.mul,
+      [&](auto arith, CellPos at) {
+        using T = typename decltype(arith)::type;
+        const auto col = static_cast<std::size_t>(at.j);
+        const T up = (at.i > 0) ? T(u[at.c - cols])
+                                : (g.lo + at.i > 0 ? T(above[col]) : T(0.0));
+        const T down = (at.i + 1 < g.count)
+                           ? T(u[at.c + cols])
+                           : (g.lo + at.i + 1 < g.rows ? T(below[col])
+                                                       : T(0.0));
+        const T left = (at.j > 0) ? T(u[at.c - 1]) : T(0.0);
+        const T right = (at.j + 1 < g.cols) ? T(u[at.c + 1]) : T(0.0);
+        out[at.c] = static_cast<Real>(
+            expr(T(u[at.c]), T(f[at.c]), up, down, left, right));
+        return ops;
+      },
+      [&](std::size_t begin, std::size_t end) {
+        const std::size_t lo = begin > cols ? begin - cols : 0;
+        const std::size_t hi = std::min(cells, end + cols);
+        std::uint64_t diff =
+            diverged_bits(u, lo, hi) | diverged_bits(f, begin, end);
+        if (begin < cols) diff |= diverged_bits(above);
+        if (end + cols > cells) diff |= diverged_bits(below);
+        return diff;
+      });
 }
 
 }  // namespace
@@ -367,27 +299,27 @@ void jacobi_sweep(RowBlock block, std::span<const Real> u,
                   std::span<Real> next) {
   // 4 Add for the neighbour sum, 1 Mul by 0.25, then 1 Sub (1 - omega),
   // 2 Mul and 1 Add for the damped update.
-  run_stencil(block, u, f, above, below, next,
-              {.add = 5, .sub = 1, .mul = 3},
-              [omega](auto uc, auto fc, auto up, auto down, auto left,
-                      auto right) {
-                using T = decltype(uc);
-                const T gs = T(0.25) * (fc + up + down + left + right);
-                return (T(1.0) - T(omega)) * uc + T(omega) * gs;
-              });
+  stencil_cells(block, u, f, above, below, next,
+                {.add = 5, .sub = 1, .mul = 3},
+                [omega](auto uc, auto fc, auto up, auto down, auto left,
+                        auto right) {
+                  using T = decltype(uc);
+                  const T gs = T(0.25) * (fc + up + down + left + right);
+                  return (T(1.0) - T(omega)) * uc + T(omega) * gs;
+                });
 }
 
 void stencil_residual(RowBlock block, std::span<const Real> u,
                       std::span<const Real> f, std::span<const Real> above,
                       std::span<const Real> below, std::span<Real> r) {
   // 1 Mul and 4 Sub for A u, 1 Sub for f - A u.
-  run_stencil(block, u, f, above, below, r, {.add = 0, .sub = 5, .mul = 1},
-              [](auto uc, auto fc, auto up, auto down, auto left,
-                 auto right) {
-                using T = decltype(uc);
-                const T au = T(4.0) * uc - up - down - left - right;
-                return fc - au;
-              });
+  stencil_cells(block, u, f, above, below, r, {.sub = 5, .mul = 1},
+                [](auto uc, auto fc, auto up, auto down, auto left,
+                   auto right) {
+                  using T = decltype(uc);
+                  const T au = T(4.0) * uc - up - down - left - right;
+                  return fc - au;
+                });
 }
 
 Real global_norm2(simmpi::Comm& comm, std::span<const Real> x) {

@@ -1,5 +1,6 @@
 #include "apps/lu.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -39,7 +40,7 @@ AppResult LuApp::run(simmpi::Comm& comm) const {
   const int prev = (rank > 0) ? rank - 1 : -1;
   const int next = (rank + 1 < p) ? rank + 1 : -1;
 
-  auto at = [&](int i, int j) {
+  auto flat = [&](int i, int j) {
     return static_cast<std::size_t>(i) * width + static_cast<std::size_t>(j);
   };
 
@@ -50,7 +51,7 @@ AppResult LuApp::run(simmpi::Comm& comm) const {
     util::Xoshiro256 rng(
         util::derive_seed(config_.rhs_seed, static_cast<std::uint64_t>(lo + i)));
     for (int j = 0; j < cols; ++j) {
-      f[at(i, j)] = Real(rng.uniform_real(-1.0, 1.0));
+      f[flat(i, j)] = Real(rng.uniform_real(-1.0, 1.0));
     }
   }
 
@@ -60,6 +61,8 @@ AppResult LuApp::run(simmpi::Comm& comm) const {
   const Real inv_diag(1.0 / config_.diag);
 
   // r = f - A u with A = 4 I - (up + down + left + right).
+  const RowBlock grid{.lo = lo, .count = count, .rows = config_.rows,
+                      .cols = cols};
   auto compute_residual = [&](int tag) {
     std::fill(above.begin(), above.end(), Real(0.0));
     std::fill(below.begin(), below.end(), Real(0.0));
@@ -70,22 +73,7 @@ AppResult LuApp::run(simmpi::Comm& comm) const {
               static_cast<std::size_t>(count - 1) * width, width),
           std::span<Real>(above), std::span<Real>(below), prev, next);
     }
-    for (int i = 0; i < count; ++i) {
-      for (int j = 0; j < cols; ++j) {
-        const Real up = (i > 0) ? u[at(i - 1, j)]
-                                : (lo + i > 0 ? above[static_cast<std::size_t>(j)]
-                                              : Real(0.0));
-        const Real down =
-            (i + 1 < count)
-                ? u[at(i + 1, j)]
-                : (lo + i + 1 < config_.rows ? below[static_cast<std::size_t>(j)]
-                                             : Real(0.0));
-        const Real left = (j > 0) ? u[at(i, j - 1)] : Real(0.0);
-        const Real right = (j + 1 < cols) ? u[at(i, j + 1)] : Real(0.0);
-        const Real au = Real(4.0) * u[at(i, j)] - up - down - left - right;
-        rhs[at(i, j)] = f[at(i, j)] - au;
-      }
-    }
+    stencil_residual(grid, u, f, above, below, rhs);
   };
 
   // Boundary hook (DESIGN.md §9): u is the only live state across
@@ -109,15 +97,28 @@ AppResult LuApp::run(simmpi::Comm& comm) const {
     if (prev >= 0) {
       comm.recv(prev, kForwardTag + iter, std::span<Real>(boundary));
     }
-    for (int i = 0; i < count; ++i) {
-      for (int j = 0; j < cols; ++j) {
-        const Real up = (i > 0) ? z[at(i - 1, j)]
-                                : (lo > 0 ? boundary[static_cast<std::size_t>(j)]
-                                          : Real(0.0));
-        const Real left = (j > 0) ? z[at(i, j - 1)] : Real(0.0);
-        z[at(i, j)] = (rhs[at(i, j)] + omega * (up + left)) * inv_diag;
-      }
-    }
+    // Cell (i, j) reads z's row above and its left neighbour: cells
+    // before a window, or computed inside it from scanned inputs.
+    run_cells(
+        u.size(), cols, 4,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          const auto col = static_cast<std::size_t>(at.j);
+          const T up = (at.i > 0) ? T(z[at.c - width])
+                                  : (lo > 0 ? T(boundary[col]) : T(0.0));
+          const T left = (at.j > 0) ? T(z[at.c - 1]) : T(0.0);
+          z[at.c] = static_cast<Real>(
+              (T(rhs[at.c]) + T(omega) * (up + left)) * T(inv_diag));
+          return CellOps{.add = 2, .mul = 2};
+        },
+        [&](std::size_t b, std::size_t e) {
+          const std::size_t before = b > width ? b - width : 0;
+          std::uint64_t diff =
+              diverged_bits(omega) | diverged_bits(inv_diag) |
+              diverged_bits(rhs, b, e) | diverged_bits(z, before, b);
+          if (b < width) diff |= diverged_bits(boundary);
+          return diff;
+        });
     if (next >= 0 && count > 0) {
       comm.send(next, kForwardTag + iter,
                 std::span<const Real>(z).subspan(
@@ -129,25 +130,53 @@ AppResult LuApp::run(simmpi::Comm& comm) const {
     if (next >= 0) {
       comm.recv(next, kBackwardTag + iter, std::span<Real>(boundary));
     }
-    for (int i = count - 1; i >= 0; --i) {
-      for (int j = cols - 1; j >= 0; --j) {
-        const Real down =
-            (i + 1 < count)
-                ? v[at(i + 1, j)]
-                : (lo + count < config_.rows
-                       ? boundary[static_cast<std::size_t>(j)]
-                       : Real(0.0));
-        const Real right = (j + 1 < cols) ? v[at(i, j + 1)] : Real(0.0);
-        v[at(i, j)] = (z[at(i, j)] + omega * (down + right)) * inv_diag;
-      }
-    }
+    // Cells are visited from the last: visit index c is flat index
+    // n - 1 - c, and cell (i, j) reads v's row below and its right
+    // neighbour.
+    const std::size_t n = u.size();
+    run_cells(
+        n, cols, 4,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          const std::size_t k = n - 1 - at.c;
+          const int i = count - 1 - at.i;
+          const int j = cols - 1 - at.j;
+          const T down = (i + 1 < count)
+                             ? T(v[k + width])
+                             : (lo + count < config_.rows
+                                    ? T(boundary[static_cast<std::size_t>(j)])
+                                    : T(0.0));
+          const T right = (j + 1 < cols) ? T(v[k + 1]) : T(0.0);
+          v[k] = static_cast<Real>(
+              (T(z[k]) + T(omega) * (down + right)) * T(inv_diag));
+          return CellOps{.add = 2, .mul = 2};
+        },
+        [&](std::size_t b, std::size_t e) {
+          const std::size_t after = std::min(n, n - b + width);
+          std::uint64_t diff =
+              diverged_bits(omega) | diverged_bits(inv_diag) |
+              diverged_bits(z, n - e, n - b) | diverged_bits(v, n - b, after);
+          if (b < width) diff |= diverged_bits(boundary);
+          return diff;
+        });
     if (prev >= 0 && count > 0) {
       comm.send(prev, kBackwardTag + iter,
                 std::span<const Real>(v).subspan(0, width));
     }
 
     // ---- apply the SSOR update ----
-    for (std::size_t k = 0; k < u.size(); ++k) u[k] += v[k];
+    run_cells(
+        u.size(), static_cast<int>(u.size()), 1,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          T uk = T(u[at.c]);
+          uk += T(v[at.c]);
+          u[at.c] = static_cast<Real>(uk);
+          return CellOps{.add = 1};
+        },
+        [&](std::size_t b, std::size_t e) {
+          return diverged_bits(u, b, e) | diverged_bits(v, b, e);
+        });
 
     if (ctl != nullptr) {
       const auto vw = views();

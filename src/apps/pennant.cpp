@@ -1,5 +1,6 @@
 #include "apps/pennant.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -105,33 +106,54 @@ AppResult PennantApp::run(simmpi::Comm& comm) const {
     step = ctl->begin(vw);
   }
 
+  // The per-step loops run as cells of run_cells (apps/kernels.hpp). In
+  // their divergence scans, zone cells [b, e) read nodes [b, e + 1).
+  const auto nz = static_cast<std::size_t>(nzones);
+  const auto nn = static_cast<std::size_t>(nnodes);
+
   for (; step < cfg.max_steps && t < cfg.t_final * (1.0 - 1e-12); ++step) {
-    // Artificial viscosity from the current velocity field (local).
-    for (int i = 0; i < nzones; ++i) {
-      const Real dv = v[static_cast<std::size_t>(i + 1)] -
-                      v[static_cast<std::size_t>(i)];
-      if (dv < Real(0.0)) {
-        const Real c = sqrt(Real(cfg.gamma) * pr[static_cast<std::size_t>(i)] /
-                            rho[static_cast<std::size_t>(i)]);
-        qv[static_cast<std::size_t>(i)] =
-            rho[static_cast<std::size_t>(i)] *
-            (Real(cfg.q2) * dv * dv + Real(cfg.q1) * c * abs(dv));
-      } else {
-        qv[static_cast<std::size_t>(i)] = Real(0.0);
-      }
-    }
+    // Artificial viscosity from the current velocity field (local): 1 Sub,
+    // or 10 ops on the compression branch.
+    run_cells(
+        nz, nzones, 10,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          const std::size_t i = at.c;
+          const T dv = T(v[i + 1]) - T(v[i]);
+          if (dv < T(0.0)) {
+            const T c = sqrt(T(cfg.gamma) * T(pr[i]) / T(rho[i]));
+            qv[i] = static_cast<Real>(
+                T(rho[i]) *
+                (T(cfg.q2) * dv * dv + T(cfg.q1) * c * abs(dv)));
+            return CellOps{.add = 1, .sub = 1, .mul = 6, .div = 1, .sqrt = 1};
+          }
+          qv[i] = Real(0.0);
+          return CellOps{.sub = 1};
+        },
+        [&](std::size_t b, std::size_t e) {
+          return diverged_bits(v, b, e + 1) | diverged_bits(pr, b, e) |
+                 diverged_bits(rho, b, e);
+        });
 
     // CFL-limited global time step (the per-cycle collective).
     Real dt_local(1e30);
-    for (int i = 0; i < nzones; ++i) {
-      const Real dx = x[static_cast<std::size_t>(i + 1)] -
-                      x[static_cast<std::size_t>(i)];
-      const Real c = sqrt(Real(cfg.gamma) * pr[static_cast<std::size_t>(i)] /
-                          rho[static_cast<std::size_t>(i)]);
-      const Real dv = abs(v[static_cast<std::size_t>(i + 1)] -
-                          v[static_cast<std::size_t>(i)]);
-      dt_local = min(dt_local, Real(cfg.cfl) * dx / (c + dv + Real(1e-30)));
-    }
+    run_cells(
+        nz, nzones, 9,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          const std::size_t i = at.c;
+          const T dx = T(x[i + 1]) - T(x[i]);
+          const T c = sqrt(T(cfg.gamma) * T(pr[i]) / T(rho[i]));
+          const T dv = abs(T(v[i + 1]) - T(v[i]));
+          dt_local = static_cast<Real>(
+              min(T(dt_local), T(cfg.cfl) * dx / (c + dv + T(1e-30))));
+          return CellOps{.add = 2, .sub = 2, .mul = 2, .div = 2, .sqrt = 1};
+        },
+        [&](std::size_t b, std::size_t e) {
+          return diverged_bits(dt_local) | diverged_bits(x, b, e + 1) |
+                 diverged_bits(v, b, e + 1) | diverged_bits(pr, b, e) |
+                 diverged_bits(rho, b, e);
+        });
     Real dt = comm.allreduce_value(dt_local, simmpi::Min{});
     dt = min(dt, Real(cfg.t_final - t));
     if (!isfinite(dt) || dt <= Real(0.0)) {
@@ -139,10 +161,16 @@ AppResult PennantApp::run(simmpi::Comm& comm) const {
     }
 
     // Exchange boundary-zone total pressure with the neighbours.
-    for (int i = 0; i < nzones; ++i) {
-      ptot[static_cast<std::size_t>(i)] =
-          pr[static_cast<std::size_t>(i)] + qv[static_cast<std::size_t>(i)];
-    }
+    run_cells(
+        nz, nzones, 1,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          ptot[at.c] = static_cast<Real>(T(pr[at.c]) + T(qv[at.c]));
+          return CellOps{.add = 1};
+        },
+        [&](std::size_t b, std::size_t e) {
+          return diverged_bits(pr, b, e) | diverged_bits(qv, b, e);
+        });
     Real ptot_prev(0.0), ptot_next(0.0);
     if (p > 1) {
       exchange_halo_rows(comm, kZoneHaloTag + 1 + step,
@@ -153,45 +181,74 @@ AppResult PennantApp::run(simmpi::Comm& comm) const {
     }
 
     // Node accelerations and positions. Wall boundary: end nodes pinned.
-    for (int i = 0; i < nnodes; ++i) {
-      const int g = zlo + i;
-      if (g == 0 || g == cfg.zones) {
-        v[static_cast<std::size_t>(i)] = Real(0.0);
-        continue;
-      }
-      const Real p_left_zone =
-          (i > 0) ? ptot[static_cast<std::size_t>(i - 1)] : ptot_prev;
-      const Real p_right_zone =
-          (i < nzones) ? ptot[static_cast<std::size_t>(i)] : ptot_next;
-      const Real force = p_left_zone - p_right_zone;
-      v[static_cast<std::size_t>(i)] +=
-          dt * force / nm[static_cast<std::size_t>(i)];
-    }
-    for (int i = 0; i < nnodes; ++i) {
-      x[static_cast<std::size_t>(i)] += dt * v[static_cast<std::size_t>(i)];
-    }
+    run_cells(
+        nn, nnodes, 4,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          const std::size_t i = at.c;
+          const int g = zlo + static_cast<int>(i);
+          if (g == 0 || g == cfg.zones) {
+            v[i] = Real(0.0);
+            return CellOps{};
+          }
+          const T p_left_zone = (i > 0) ? T(ptot[i - 1]) : T(ptot_prev);
+          const T p_right_zone = (i < nz) ? T(ptot[i]) : T(ptot_next);
+          const T force = p_left_zone - p_right_zone;
+          T vi = T(v[i]);
+          vi += T(dt) * force / T(nm[i]);
+          v[i] = static_cast<Real>(vi);
+          return CellOps{.add = 1, .sub = 1, .mul = 1, .div = 1};
+        },
+        [&](std::size_t b, std::size_t e) {
+          // Node i reads zones i - 1 and i.
+          return diverged_bits(dt) | diverged_bits(ptot_prev) |
+                 diverged_bits(ptot_next) |
+                 diverged_bits(ptot, b > 0 ? b - 1 : 0, std::min(e, nz)) |
+                 diverged_bits(nm, b, e) | diverged_bits(v, b, e);
+        });
+    run_cells(
+        nn, nnodes, 2,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          T xi = T(x[at.c]);
+          xi += T(dt) * T(v[at.c]);
+          x[at.c] = static_cast<Real>(xi);
+          return CellOps{.add = 1, .mul = 1};
+        },
+        [&](std::size_t b, std::size_t e) {
+          return diverged_bits(dt) | diverged_bits(x, b, e) |
+                 diverged_bits(v, b, e);
+        });
 
-    // Zone updates: compression work and equation of state.
-    for (int i = 0; i < nzones; ++i) {
-      const Real dx = x[static_cast<std::size_t>(i + 1)] -
-                      x[static_cast<std::size_t>(i)];
-      if (!(dx > Real(0.0))) {
-        throw NumericalError("PENNANT mesh tangled (non-positive zone length)");
-      }
-      rho[static_cast<std::size_t>(i)] = zm[static_cast<std::size_t>(i)] / dx;
-      const Real dv = v[static_cast<std::size_t>(i + 1)] -
-                      v[static_cast<std::size_t>(i)];
-      en[static_cast<std::size_t>(i)] -=
-          dt * ptot[static_cast<std::size_t>(i)] * dv /
-          zm[static_cast<std::size_t>(i)];
-      if (!(en[static_cast<std::size_t>(i)] > Real(0.0)) ||
-          !isfinite(en[static_cast<std::size_t>(i)])) {
-        throw NumericalError("PENNANT energy became invalid");
-      }
-      pr[static_cast<std::size_t>(i)] = gamma_m1 *
-                                        rho[static_cast<std::size_t>(i)] *
-                                        en[static_cast<std::size_t>(i)];
-    }
+    // Zone updates: compression work and equation of state. A cell
+    // commits rho, en and pr only after both checks pass.
+    run_cells(
+        nz, nzones, 9,
+        [&](auto arith, CellPos at) {
+          using T = typename decltype(arith)::type;
+          const std::size_t i = at.c;
+          const T dx = T(x[i + 1]) - T(x[i]);
+          if (!(dx > T(0.0))) {
+            throw NumericalError(
+                "PENNANT mesh tangled (non-positive zone length)");
+          }
+          const T rho_i = T(zm[i]) / dx;
+          const T dv = T(v[i + 1]) - T(v[i]);
+          T en_i = T(en[i]);
+          en_i -= T(dt) * T(ptot[i]) * dv / T(zm[i]);
+          if (!(en_i > T(0.0)) || !isfinite(en_i)) {
+            throw NumericalError("PENNANT energy became invalid");
+          }
+          rho[i] = static_cast<Real>(rho_i);
+          en[i] = static_cast<Real>(en_i);
+          pr[i] = static_cast<Real>(T(gamma_m1) * rho_i * en_i);
+          return CellOps{.sub = 3, .mul = 4, .div = 2};
+        },
+        [&](std::size_t b, std::size_t e) {
+          return diverged_bits(dt) | diverged_bits(x, b, e + 1) |
+                 diverged_bits(v, b, e + 1) | diverged_bits(zm, b, e) |
+                 diverged_bits(ptot, b, e) | diverged_bits(en, b, e);
+        });
     t += dt.value();
 
     if (ctl != nullptr) {

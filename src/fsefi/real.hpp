@@ -25,6 +25,13 @@
 // one predictable branch per operation and compute exactly like double.
 #pragma once
 
+#if !defined(__x86_64__)
+#error "fsefi::PackedReal needs x86-64 SSE2 (the simmpi fiber switch is x86-64 only too)"
+#endif
+
+#include <emmintrin.h>
+
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <type_traits>
@@ -182,5 +189,102 @@ class Real {
 
 static_assert(std::is_trivially_copyable_v<Real>,
               "Real must be transportable by simmpi");
+
+/// A Real's primary and shadow packed into one SSE2 vector (lane 0 the
+/// primary, lane 1 the shadow), with Real's semantics minus the counting.
+/// Quiet windows (DESIGN.md §8 item 4), where the FaultContext guarantees
+/// no event, compute on it: each op is one addpd/subpd/mulpd/divpd/sqrtpd,
+/// and IEEE rounding makes each lane bit-identical to the scalar op Real
+/// performs on it. Comparisons, min/max, isfinite and isnan read the
+/// primary lane, as Real's do, so control flow follows the primary. abs
+/// is Real's sign select (-0.0 and negative NaNs keep their sign), not
+/// fabs.
+class PackedReal {
+ public:
+  PackedReal() = default;
+  // Implicit from double, like Real, so literals broadcast to both lanes.
+  PackedReal(double v) noexcept : m_(_mm_set1_pd(v)) {}  // NOLINT(google-explicit-constructor)
+  explicit PackedReal(Real r) noexcept : m_(std::bit_cast<__m128d>(r)) {}
+  explicit operator Real() const noexcept { return std::bit_cast<Real>(m_); }
+
+  [[nodiscard]] double value() const noexcept { return _mm_cvtsd_f64(m_); }
+  [[nodiscard]] double shadow() const noexcept {
+    return _mm_cvtsd_f64(_mm_unpackhi_pd(m_, m_));
+  }
+
+  [[gnu::always_inline]] friend PackedReal operator+(PackedReal a,
+                                                     PackedReal b) noexcept {
+    return PackedReal(_mm_add_pd(a.m_, b.m_));
+  }
+  [[gnu::always_inline]] friend PackedReal operator-(PackedReal a,
+                                                     PackedReal b) noexcept {
+    return PackedReal(_mm_sub_pd(a.m_, b.m_));
+  }
+  [[gnu::always_inline]] friend PackedReal operator*(PackedReal a,
+                                                     PackedReal b) noexcept {
+    return PackedReal(_mm_mul_pd(a.m_, b.m_));
+  }
+  [[gnu::always_inline]] friend PackedReal operator/(PackedReal a,
+                                                     PackedReal b) noexcept {
+    return PackedReal(_mm_div_pd(a.m_, b.m_));
+  }
+  PackedReal& operator+=(PackedReal b) noexcept { return *this = *this + b; }
+  PackedReal& operator-=(PackedReal b) noexcept { return *this = *this - b; }
+  PackedReal& operator*=(PackedReal b) noexcept { return *this = *this * b; }
+  PackedReal& operator/=(PackedReal b) noexcept { return *this = *this / b; }
+
+  friend PackedReal operator-(PackedReal a) noexcept {
+    return PackedReal(_mm_xor_pd(a.m_, _mm_set1_pd(-0.0)));
+  }
+  friend PackedReal operator+(PackedReal a) noexcept { return a; }
+
+  friend bool operator==(PackedReal a, PackedReal b) noexcept {
+    return a.value() == b.value();
+  }
+  friend bool operator!=(PackedReal a, PackedReal b) noexcept {
+    return a.value() != b.value();
+  }
+  friend bool operator<(PackedReal a, PackedReal b) noexcept {
+    return a.value() < b.value();
+  }
+  friend bool operator>(PackedReal a, PackedReal b) noexcept {
+    return a.value() > b.value();
+  }
+  friend bool operator<=(PackedReal a, PackedReal b) noexcept {
+    return a.value() <= b.value();
+  }
+  friend bool operator>=(PackedReal a, PackedReal b) noexcept {
+    return a.value() >= b.value();
+  }
+
+  [[gnu::always_inline]] friend PackedReal sqrt(PackedReal a) noexcept {
+    return PackedReal(_mm_sqrt_pd(a.m_));
+  }
+  /// Per lane `x < 0 ? -x : x`, as Real::abs: flips the sign bit exactly
+  /// where the ordered compare holds, so -0.0 and NaNs pass unchanged.
+  friend PackedReal abs(PackedReal a) noexcept {
+    const __m128d negative = _mm_cmplt_pd(a.m_, _mm_setzero_pd());
+    return PackedReal(
+        _mm_xor_pd(a.m_, _mm_and_pd(negative, _mm_set1_pd(-0.0))));
+  }
+  friend PackedReal min(PackedReal a, PackedReal b) noexcept {
+    return b < a ? b : a;
+  }
+  friend PackedReal max(PackedReal a, PackedReal b) noexcept {
+    return a < b ? b : a;
+  }
+  friend bool isfinite(PackedReal a) noexcept {
+    return std::isfinite(a.value());
+  }
+  friend bool isnan(PackedReal a) noexcept { return std::isnan(a.value()); }
+
+ private:
+  explicit PackedReal(__m128d m) noexcept : m_(m) {}
+
+  __m128d m_;
+};
+
+static_assert(sizeof(PackedReal) == sizeof(Real),
+              "PackedReal packs exactly one Real's primary and shadow");
 
 }  // namespace resilience::fsefi

@@ -138,12 +138,14 @@ RunOutput run_app_once(const apps::App& app, int nranks,
 
   out.profiles.reserve(contexts.size());
   out.contaminated.reserve(contexts.size());
+  out.first_contamination_op.reserve(contexts.size());
   out.filtered_ops.reserve(contexts.size());
   out.injection_events.reserve(contexts.size());
   out.recv_reals.reserve(contexts.size());
   for (const auto& ctx : contexts) {
     out.profiles.push_back(ctx->profile());
     out.contaminated.push_back(ctx->contaminated());
+    out.first_contamination_op.push_back(ctx->first_contamination_op());
     out.filtered_ops.push_back(ctx->filtered_ops());
     out.injection_events.push_back(ctx->injection_events());
     out.recv_reals.push_back(ctx->recv_reals());

@@ -40,6 +40,9 @@ struct RunOutput {
   std::optional<apps::AppResult> result; ///< rank-0 output if the job finished
   std::vector<fsefi::OpCountProfile> profiles;  ///< per rank
   std::vector<bool> contaminated;               ///< per rank
+  /// Per rank: the dynamic op at which the rank became contaminated;
+  /// meaningful only where `contaminated` is set.
+  std::vector<std::uint64_t> first_contamination_op;
   /// Per rank: dynamic ops that matched the armed plan's filters (0 for
   /// counting-only runs), and the trace of performed injections.
   std::vector<std::uint64_t> filtered_ops;

@@ -5,8 +5,12 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "apps/app.hpp"
+#include "harness/runner.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace resilience::apps {
@@ -325,6 +329,337 @@ TEST(MgStencil, NoContextMatchesFaultFreeInstrumentedRun) {
         EXPECT_FALSE(ctx.contaminated());
       }
     }
+  }
+}
+
+// ---- PackedReal vs Real, op by op -------------------------------------------
+
+using fsefi::PackedReal;
+
+std::pair<std::uint64_t, std::uint64_t> lanes(Real r) {
+  return {std::bit_cast<std::uint64_t>(r.value()),
+          std::bit_cast<std::uint64_t>(r.shadow())};
+}
+
+std::pair<std::uint64_t, std::uint64_t> lanes(PackedReal p) {
+  return lanes(static_cast<Real>(p));
+}
+
+/// Signed zeros, infinities, subnormals, NaNs with payloads (quiet and
+/// signalling, either sign) and ordinary values.
+std::vector<double> special_values() {
+  using limits = std::numeric_limits<double>;
+  return {0.0,
+          -0.0,
+          limits::infinity(),
+          -limits::infinity(),
+          limits::denorm_min(),
+          -limits::denorm_min(),
+          0x1.8p-1030,
+          -0x1.8p-1030,
+          limits::min(),
+          limits::max(),
+          -2.5,
+          1.0,
+          3.0,
+          std::bit_cast<double>(std::uint64_t{0x7ff8'0000'0000'1234}),
+          std::bit_cast<double>(std::uint64_t{0xfff8'0000'0000'0abc}),
+          std::bit_cast<double>(std::uint64_t{0x7ff0'0000'0000'0042})};
+}
+
+/// Lane by lane, `packed` equals `real` bit for bit, except where both of
+/// a commutative op's operands are NaN: IEEE returns one of the two
+/// NaNs, and the compiler may commute + and * for either form, so each
+/// side must return a quieted copy of one of them.
+void expect_same_lanes(PackedReal packed, Real real, Real a, Real b,
+                       bool commutative, const std::string& where) {
+  const auto quiet = [](double d) {
+    return std::bit_cast<std::uint64_t>(d) | (std::uint64_t{1} << 51);
+  };
+  const auto lane_ok = [&](double p, double r, double x, double y) {
+    const auto pb = std::bit_cast<std::uint64_t>(p);
+    const auto rb = std::bit_cast<std::uint64_t>(r);
+    if (pb == rb) return true;
+    if (!commutative || !std::isnan(x) || !std::isnan(y)) return false;
+    return (pb == quiet(x) || pb == quiet(y)) &&
+           (rb == quiet(x) || rb == quiet(y));
+  };
+  const Real p = static_cast<Real>(packed);
+  EXPECT_TRUE(lane_ok(p.value(), real.value(), a.value(), b.value()))
+      << where << " primary";
+  EXPECT_TRUE(lane_ok(p.shadow(), real.shadow(), a.shadow(), b.shadow()))
+      << where << " shadow";
+}
+
+TEST(PackedReal, MatchesRealOpByOpOnSpecialValues) {
+  const std::vector<double> vals = special_values();
+  const std::size_t n = vals.size();
+  // Primary and shadow lanes differ, so lanes are checked independently.
+  const auto real_at = [&](std::size_t k) {
+    return Real::corrupted(vals[k], vals[(k + 5) % n]);
+  };
+  for (std::size_t ia = 0; ia < n; ++ia) {
+    const Real ra = real_at(ia);
+    const PackedReal pa(ra);
+    const auto where = ::testing::Message() << "a = " << vals[ia];
+    EXPECT_EQ(lanes(pa), lanes(ra)) << where;
+    EXPECT_EQ(lanes(sqrt(pa)), lanes(sqrt(ra))) << where;
+    EXPECT_EQ(lanes(abs(pa)), lanes(abs(ra))) << where;
+    EXPECT_EQ(lanes(-pa), lanes(-ra)) << where;
+    EXPECT_EQ(isfinite(pa), isfinite(ra)) << where;
+    EXPECT_EQ(isnan(pa), isnan(ra)) << where;
+    EXPECT_EQ(lanes(PackedReal(vals[ia])), lanes(Real(vals[ia]))) << where;
+    for (std::size_t ib = 0; ib < n; ++ib) {
+      const Real rb = real_at(ib);
+      const PackedReal pb(rb);
+      const auto both = ::testing::Message()
+                        << "a = " << vals[ia] << ", b = " << vals[ib];
+      expect_same_lanes(pa + pb, ra + rb, ra, rb, true,
+                        both.GetString() + " +");
+      EXPECT_EQ(lanes(pa - pb), lanes(ra - rb)) << both;
+      expect_same_lanes(pa * pb, ra * rb, ra, rb, true,
+                        both.GetString() + " *");
+      EXPECT_EQ(lanes(pa / pb), lanes(ra / rb)) << both;
+      EXPECT_EQ(lanes(min(pa, pb)), lanes(min(ra, rb))) << both;
+      EXPECT_EQ(lanes(max(pa, pb)), lanes(max(ra, rb))) << both;
+      EXPECT_EQ(pa < pb, ra < rb) << both;
+      EXPECT_EQ(pa > pb, ra > rb) << both;
+      EXPECT_EQ(pa <= pb, ra <= rb) << both;
+      EXPECT_EQ(pa >= pb, ra >= rb) << both;
+      EXPECT_EQ(pa == pb, ra == rb) << both;
+      EXPECT_EQ(pa != pb, ra != rb) << both;
+    }
+  }
+}
+
+TEST(PackedReal, AbsIsASignSelectAndMinFollowsThePrimary) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  // abs keeps -0.0 and a negative NaN as they are (fabs would clear the
+  // sign), exactly as Real::abs does.
+  EXPECT_EQ(bits(abs(PackedReal(-0.0)).value()), bits(-0.0));
+  const double neg_nan =
+      std::bit_cast<double>(std::uint64_t{0xfff8'0000'0000'0abc});
+  EXPECT_EQ(bits(abs(PackedReal(neg_nan)).value()), bits(neg_nan));
+  EXPECT_EQ(bits(abs(PackedReal(-2.0)).shadow()), bits(2.0));
+  // min(a, b) is `b < a ? b : a` on the primaries: a NaN primary on
+  // either side makes the compare false and selects `a`, whose shadow
+  // comes along.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const PackedReal a(Real::corrupted(nan, 1.0));
+  const PackedReal b(Real::corrupted(2.0, 3.0));
+  EXPECT_EQ(lanes(min(a, b)), lanes(a));
+  EXPECT_EQ(lanes(min(b, a)), lanes(b));
+  EXPECT_EQ(lanes(min(a, b)), lanes(min(Real::corrupted(nan, 1.0),
+                                          Real::corrupted(2.0, 3.0))));
+  // Comparisons read the primary even when the shadow disagrees.
+  EXPECT_TRUE(PackedReal(Real::corrupted(1.0, 5.0)) <
+              PackedReal(Real::corrupted(2.0, 0.0)));
+}
+
+// ---- PENNANT and LU cells vs the per-op reference path ----------------------
+
+harness::RunOutput run_app_mode(
+    bool fast, const App& app, int nranks,
+    const std::vector<fsefi::InjectionPlan>& plans) {
+  fsefi::set_fast_real_enabled(fast);
+  return harness::run_app_once(app, nranks, plans);
+}
+
+std::vector<std::uint64_t> double_bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> bits;
+  for (const double d : v) bits.push_back(std::bit_cast<std::uint64_t>(d));
+  return bits;
+}
+
+/// Everything a run leaves behind must match: how it ended (result or
+/// exception), and per rank the profile, filtered ops, injection trace,
+/// contamination and first-contamination op.
+void expect_same_run(const harness::RunOutput& fast,
+                     const harness::RunOutput& ref, const std::string& label) {
+  EXPECT_EQ(fast.runtime.ok, ref.runtime.ok) << label;
+  EXPECT_EQ(fast.runtime.error, ref.runtime.error) << label;
+  EXPECT_EQ(fast.runtime.failed_rank, ref.runtime.failed_rank) << label;
+  ASSERT_EQ(fast.result.has_value(), ref.result.has_value()) << label;
+  if (fast.result) {
+    EXPECT_EQ(double_bits(fast.result->signature),
+              double_bits(ref.result->signature))
+        << label;
+  }
+  EXPECT_EQ(fast.profiles, ref.profiles) << label;
+  EXPECT_EQ(fast.filtered_ops, ref.filtered_ops) << label;
+  EXPECT_EQ(fast.injection_events, ref.injection_events) << label;
+  EXPECT_EQ(fast.contaminated, ref.contaminated) << label;
+  EXPECT_EQ(fast.first_contamination_op, ref.first_contamination_op) << label;
+}
+
+/// One flip at dynamic op `op` of a single rank. Every kind is filtered,
+/// so the filtered index is the dynamic index.
+std::vector<fsefi::InjectionPlan> flip_at(std::uint64_t op,
+                                          std::uint8_t operand,
+                                          std::uint8_t bit) {
+  fsefi::InjectionPlan plan;
+  plan.kinds = fsefi::KindMask::All;
+  plan.points = {{.op_index = op, .operand = operand, .bit = bit}};
+  return {plan};
+}
+
+/// Runs `plans` fast and on the reference path; returns the fast run.
+harness::RunOutput expect_fast_matches_reference(
+    const App& app, int nranks, const std::vector<fsefi::InjectionPlan>& plans,
+    const std::string& label) {
+  const auto ref = run_app_mode(false, app, nranks, plans);
+  const auto fast = run_app_mode(true, app, nranks, plans);
+  expect_same_run(fast, ref, label);
+  return fast;
+}
+
+/// The dynamic op of every Sqrt among the first `count`, on one rank. A
+/// Sqrt has no second operand, so flipping "operand 1" changes nothing:
+/// the probe records where the ops are without perturbing the run.
+std::vector<std::uint64_t> sqrt_ops(const App& app, std::uint64_t count) {
+  fsefi::InjectionPlan probe;
+  probe.kinds = fsefi::KindMask::Sqrt;
+  for (std::uint64_t k = 0; k < count; ++k) {
+    probe.points.push_back({.op_index = k, .operand = 1, .bit = 0});
+  }
+  const auto out = run_app_mode(true, app, 1, {probe});
+  std::vector<std::uint64_t> ops;
+  for (const auto& ev : out.injection_events.at(0)) {
+    ops.push_back(ev.op_total - 1);  // op_total counts the op itself
+  }
+  return ops;
+}
+
+/// The run's one flip landed on an op of `kind`: the plan hit the op of
+/// the cell it was aimed at.
+void expect_one_flip_of_kind(const harness::RunOutput& out, fsefi::OpKind kind,
+                             const std::string& label) {
+  const auto& events = out.injection_events.at(0);
+  ASSERT_EQ(events.size(), 1u) << label;
+  EXPECT_EQ(events[0].kind, kind) << label;
+}
+
+std::uint64_t total_ops(const harness::RunOutput& out, std::size_t rank) {
+  return out.profiles.at(rank).total();
+}
+
+TEST(CellWindows, PennantMatchesPerOpReferenceBitForBit) {
+  FastRealRestore restore;
+  const auto app = make_app(AppId::PENNANT);
+  // A viscosity cell on the compression branch is Sub, Mul, Div, Sqrt,
+  // 4 Mul, Add, Mul; a CFL cell is Sub, Mul, Div, Sqrt, then 5 ops ending
+  // in a Div. A CFL Sqrt is 9 ops from the next or previous one, a
+  // viscosity Sqrt at least 10 from both.
+  const std::vector<std::uint64_t> sq = sqrt_ops(*app, 3000);
+  ASSERT_EQ(sq.size(), 3000u);
+  std::vector<std::uint64_t> viscosity, cfl_first;
+  for (std::size_t k = 0; k < sq.size(); ++k) {
+    const bool prev9 = k > 0 && sq[k] - sq[k - 1] == 9;
+    const bool next9 = k + 1 < sq.size() && sq[k + 1] - sq[k] == 9;
+    if (!prev9 && !next9) viscosity.push_back(sq[k]);
+    if (!prev9 && next9) cfl_first.push_back(sq[k]);
+  }
+  ASSERT_GE(viscosity.size(), 40u);
+  ASSERT_GE(cfl_first.size(), 4u);
+
+  const auto check = [&](std::uint64_t op, std::uint8_t operand,
+                         std::uint8_t bit, fsefi::OpKind kind,
+                         const std::string& what) {
+    const std::string label = "PENNANT " + what + " op " + std::to_string(op);
+    auto fast = expect_fast_matches_reference(
+        *app, 1, flip_at(op, operand, bit), label);
+    expect_one_flip_of_kind(fast, kind, label);
+    return fast;
+  };
+  // Flips on the first op and on the tail of compression-branch cells.
+  for (std::size_t k = 0; k < 40; ++k) {
+    check(viscosity[k] - 3, 1, 50, fsefi::OpKind::Sub, "viscosity first");
+    check(viscosity[k] + 6, 0, 2, fsefi::OpKind::Mul, "viscosity tail");
+  }
+  // Flips on the first and last op of CFL cells at the start, middle and
+  // end of the loop.
+  for (std::size_t s = 1; s < 4; ++s) {
+    for (const std::uint64_t cell : {0u, 1u, 63u, 127u}) {
+      const std::uint64_t sqrt_op = cfl_first[s] + 9 * cell;
+      check(sqrt_op - 3, 0, 20, fsefi::OpKind::Sub, "CFL first");
+      check(sqrt_op + 5, 1, 1, fsefi::OpKind::Div, "CFL last");
+    }
+  }
+  // Flips inside windows of every loop, spread over the run.
+  const auto golden = run_app_mode(true, *app, 1, {});
+  const std::uint64_t total = total_ops(golden, 0);
+  for (std::uint64_t k = 1; k < 24; ++k) {
+    expect_fast_matches_reference(*app, 1, flip_at(total * k / 24, 0, 30),
+                                  "PENNANT spread " + std::to_string(k));
+  }
+  // A sign flip on x in the node-position loop (Add of x += dt * v, node
+  // 64) tangles the mesh: a zone-update cell throws inside a quiet
+  // window, long after the flip. At 1 rank the position loop follows the
+  // CFL loop's 128 cells (ending 5 ops after its last Sqrt), 128 ptot
+  // Adds and 127 four-op node accelerations (the end nodes are walls).
+  for (std::size_t s = 2; s < 5; ++s) {
+    const std::uint64_t cfl_end = cfl_first[s] + 9 * 127 + 5;
+    const std::uint64_t x_add = cfl_end + 1 + 128 + 127 * 4 + 2 * 64 + 1;
+    const auto fast =
+        check(x_add, 0, 63, fsefi::OpKind::Add, "x sign flip");
+    EXPECT_NE(fast.runtime.error.find("mesh tangled"), std::string::npos)
+        << fast.runtime.error;
+  }
+}
+
+TEST(CellWindows, LuMatchesPerOpReferenceBitForBit) {
+  FastRealRestore restore;
+  const auto app = make_app(AppId::LU);
+  // At 1 rank an LU iteration over the 128 x 12 grid is 1536 residual
+  // cells of 6 ops (Mul first, Sub last), 1536 forward and 1536 backward
+  // sweep cells of 4 (Add first, Mul last) and 1536 one-Add updates.
+  constexpr std::uint64_t kCells = 1536;
+  constexpr std::uint64_t kIter = kCells * (6 + 4 + 4 + 1);
+  const auto golden = run_app_mode(true, *app, 1, {});
+  ASSERT_GT(total_ops(golden, 0), 3 * kIter);
+  const auto check = [&](std::uint64_t op, std::uint8_t bit,
+                         fsefi::OpKind kind, const std::string& what) {
+    const std::string label = "LU " + what + " op " + std::to_string(op);
+    expect_one_flip_of_kind(
+        expect_fast_matches_reference(*app, 1, flip_at(op, 0, bit), label),
+        kind, label);
+  };
+  for (const std::uint64_t iter : {0u, 1u, 2u}) {
+    const std::uint64_t base = iter * kIter;
+    for (const std::uint64_t c : {0u, 1u, 11u, 12u, 777u, 1535u}) {
+      check(base + 6 * c, 40, fsefi::OpKind::Mul, "residual first");
+      check(base + 6 * c + 5, 3, fsefi::OpKind::Sub, "residual last");
+      check(base + 6 * kCells + 4 * c, 52, fsefi::OpKind::Add, "forward first");
+      check(base + 6 * kCells + 4 * c + 3, 7, fsefi::OpKind::Mul,
+            "forward last");
+      check(base + 10 * kCells + 4 * c, 45, fsefi::OpKind::Add,
+            "backward first");
+      check(base + 10 * kCells + 4 * c + 3, 0, fsefi::OpKind::Mul,
+            "backward last");
+      check(base + 14 * kCells + c, 61, fsefi::OpKind::Add, "update");
+    }
+  }
+}
+
+TEST(CellWindows, MultiRankPennantAndLuMatchPerOpReference) {
+  FastRealRestore restore;
+  for (const AppId id : {AppId::PENNANT, AppId::LU}) {
+    const auto app = make_app(id);
+    constexpr int kRanks = 4;
+    const auto golden = run_app_mode(true, *app, kRanks, {});
+    // Rank r flips at (r + 1) / 5 of its run, so corrupted halos and
+    // collectives reach ranks whose own windows are still clean.
+    std::vector<fsefi::InjectionPlan> plans(kRanks);
+    for (int r = 0; r < kRanks; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      plans[ri].kinds = fsefi::KindMask::All;
+      plans[ri].points = {{.op_index = total_ops(golden, ri) *
+                                       static_cast<std::uint64_t>(r + 1) / 5,
+                           .operand = static_cast<std::uint8_t>(r % 2),
+                           .bit = static_cast<std::uint8_t>(10 + 12 * r)}};
+    }
+    expect_fast_matches_reference(*app, kRanks, plans,
+                                  app->label() + " 4 ranks");
   }
 }
 

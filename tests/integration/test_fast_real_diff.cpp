@@ -145,11 +145,18 @@ TEST(FastRealDiff, CampaignBitIdenticalToReference) {
   };
   // MG at 1 rank with 8 errors puts many event windows mid-stencil; 16
   // ranks is the smallest count at which an MG level (the 8-row coarsest)
-  // is replicated on every rank.
+  // is replicated on every rank. PENNANT and LU run their per-step loops
+  // and SSOR sweeps as cell windows: 8 errors at 1 rank put events (and
+  // thrown zone updates) mid-loop, and 8 or 16 ranks feed corrupted halos
+  // and wavefront rows into clean windows.
   for (const Case c : {Case{apps::AppId::CG, 4, 1},
                        Case{apps::AppId::MG, 4, 1},
                        Case{apps::AppId::MG, 1, 8},
-                       Case{apps::AppId::MG, 16, 1}}) {
+                       Case{apps::AppId::MG, 16, 1},
+                       Case{apps::AppId::PENNANT, 1, 8},
+                       Case{apps::AppId::PENNANT, 8, 1},
+                       Case{apps::AppId::LU, 1, 8},
+                       Case{apps::AppId::LU, 16, 1}}) {
     const auto app = apps::make_app(c.id);
     DeploymentConfig cfg;
     cfg.nranks = c.nranks;
