@@ -525,28 +525,70 @@ void allreduce_rounds(Comm& comm) {
   benchmark::DoNotOptimize(acc);
 }
 
-void BM_AllreduceRound(benchmark::State& state) {
+/// Run `rounds` as one job per iteration, fused or on the mailbox.
+void collective_rounds(benchmark::State& state, void (*rounds)(Comm&),
+                       bool fused) {
   const int ranks = static_cast<int>(state.range(0));
-  resilience::simmpi::detail::set_fused_collectives_enabled(true);
+  resilience::simmpi::detail::set_fused_collectives_enabled(fused);
   for (auto _ : state) {
-    Runtime::run(ranks, allreduce_rounds);
+    Runtime::run(ranks, rounds);
   }
+  resilience::simmpi::detail::set_fused_collectives_enabled(true);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
+}
+
+void BM_AllreduceRound(benchmark::State& state) {
+  collective_rounds(state, allreduce_rounds, true);
 }
 BENCHMARK(BM_AllreduceRound)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
 /// The reference decomposition: the same collective as mailbox p2p
 /// messages along the binary tree.
 void BM_AllreduceRoundMailbox(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  resilience::simmpi::detail::set_fused_collectives_enabled(false);
-  for (auto _ : state) {
-    Runtime::run(ranks, allreduce_rounds);
-  }
-  resilience::simmpi::detail::set_fused_collectives_enabled(true);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
+  collective_rounds(state, allreduce_rounds, false);
 }
 BENCHMARK(BM_AllreduceRoundMailbox)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
+
+/// 16 allgathers of an 8-double block per rank (CG's per-matvec pattern).
+void allgather_rounds(Comm& comm) {
+  const std::vector<double> mine(8, 1.0 + comm.rank());
+  std::vector<double> all(mine.size() * static_cast<std::size_t>(comm.size()));
+  for (int round = 0; round < 16; ++round) {
+    comm.allgather(std::span<const double>(mine), std::span<double>(all));
+  }
+  benchmark::DoNotOptimize(all.data());
+}
+
+/// 16 alltoalls of 8-double blocks (FT's transpose pattern).
+void alltoall_rounds(Comm& comm) {
+  const auto n = 8 * static_cast<std::size_t>(comm.size());
+  const std::vector<double> send(n, 1.0 + comm.rank());
+  std::vector<double> recv(n);
+  for (int round = 0; round < 16; ++round) {
+    comm.alltoall(std::span<const double>(send), std::span<double>(recv));
+  }
+  benchmark::DoNotOptimize(recv.data());
+}
+
+void BM_AllgatherRound(benchmark::State& state) {
+  collective_rounds(state, allgather_rounds, true);
+}
+BENCHMARK(BM_AllgatherRound)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
+
+void BM_AllgatherRoundMailbox(benchmark::State& state) {
+  collective_rounds(state, allgather_rounds, false);
+}
+BENCHMARK(BM_AllgatherRoundMailbox)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
+
+void BM_AlltoallRound(benchmark::State& state) {
+  collective_rounds(state, alltoall_rounds, true);
+}
+BENCHMARK(BM_AlltoallRound)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
+
+void BM_AlltoallRoundMailbox(benchmark::State& state) {
+  collective_rounds(state, alltoall_rounds, false);
+}
+BENCHMARK(BM_AlltoallRoundMailbox)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
 }  // namespace
 

@@ -124,6 +124,7 @@ AppResult CgApp::run_1d(simmpi::Comm& comm) const {
   // Power iteration state: x is the current normalized eigenvector guess.
   std::vector<Real> x(local_n, Real(1.0));
   std::vector<Real> z(local_n), r(local_n), d(local_n), q(local_n);
+  std::vector<Real> full;  // allgather_blocks' reused gather buffer
 
   Real zeta = 0.0;
   Real rnorm = 0.0;
@@ -151,7 +152,7 @@ AppResult CgApp::run_1d(simmpi::Comm& comm) const {
     Real rho = global_dot(comm, r, r);
 
     for (int it = 0; it < config_.cg_iters; ++it) {
-      const std::vector<Real> d_full = allgather_blocks(comm, d, n);
+      const auto d_full = allgather_blocks(comm, d, n, full);
       local_spmv(matrix_, rows, d_full, q);
       const Real alpha = rho / global_dot(comm, d, q);
       axpy(alpha, d, z);
@@ -164,7 +165,7 @@ AppResult CgApp::run_1d(simmpi::Comm& comm) const {
 
     // Final residual ||x - A z|| of this solve (NPB's rnorm).
     {
-      const std::vector<Real> z_full = allgather_blocks(comm, z, n);
+      const auto z_full = allgather_blocks(comm, z, n, full);
       local_spmv(matrix_, rows, z_full, q);
       std::vector<Real> res(local_n);
       for (std::size_t i = 0; i < local_n; ++i) res[i] = x[i] - q[i];

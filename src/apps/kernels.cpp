@@ -326,26 +326,46 @@ Real global_norm2(simmpi::Comm& comm, std::span<const Real> x) {
   return sqrt(global_dot(comm, x, x));
 }
 
-std::vector<Real> allgather_blocks(simmpi::Comm& comm,
-                                   std::span<const Real> local,
-                                   std::int64_t n) {
+std::span<const Real> allgather_blocks(simmpi::Comm& comm,
+                                       std::span<const Real> local,
+                                       std::int64_t n,
+                                       std::vector<Real>& scratch) {
   const int p = comm.size();
-  const auto max_block = static_cast<std::size_t>((n + p - 1) / p);
-  std::vector<Real> padded(max_block, Real(0.0));
-  std::copy(local.begin(), local.end(), padded.begin());
-  std::vector<Real> gathered(max_block * static_cast<std::size_t>(p));
-  comm.allgather(std::span<const Real>(padded), std::span<Real>(gathered));
-  // Compact the padded blocks into the true global layout.
-  std::vector<Real> global(static_cast<std::size_t>(n));
-  for (int r = 0; r < p; ++r) {
-    const auto range = simmpi::block_partition(n, p, r);
-    for (std::int64_t i = 0; i < range.count(); ++i) {
-      global[static_cast<std::size_t>(range.lo + i)] =
-          gathered[static_cast<std::size_t>(r) * max_block +
-                   static_cast<std::size_t>(i)];
-    }
+  if (p == 1) return local;
+  const auto un = static_cast<std::size_t>(n);
+  if (n % p == 0) {
+    // Equal blocks: the gathered layout is the global layout.
+    scratch.resize(un);
+    comm.allgather(local, std::span<Real>(scratch));
+    return scratch;
   }
-  return global;
+  // Uneven blocks travel padded to the largest block, so every message
+  // (and the delivered-Real stream a payload fault samples) keeps that
+  // size. This rank's padded block is its own slot of the gathered
+  // buffer; afterwards the blocks are compacted forward in place.
+  const auto max_block = static_cast<std::size_t>((n + p - 1) / p);
+  const auto base = static_cast<std::size_t>(n / p);
+  const auto extra = static_cast<std::size_t>(n % p);
+  scratch.resize(max_block * static_cast<std::size_t>(p));
+  const auto mine = std::span<Real>(scratch).subspan(
+      static_cast<std::size_t>(comm.rank()) * max_block, max_block);
+  std::copy(local.begin(), local.end(), mine.begin());
+  std::fill(mine.begin() + static_cast<std::ptrdiff_t>(local.size()),
+            mine.end(), Real(0.0));
+  comm.allgather(std::span<const Real>(mine), std::span<Real>(scratch));
+  // Block r holds base + (r < extra) elements and starts at the sum of
+  // the earlier blocks, left of its padded slot for every r > 0.
+  std::size_t lo = max_block;  // block 0 is full-size and already in place
+  for (std::size_t r = 1; r < static_cast<std::size_t>(p); ++r) {
+    const std::size_t count = base + (r < extra ? 1 : 0);
+    const auto first =
+        scratch.begin() + static_cast<std::ptrdiff_t>(r * max_block);
+    std::copy(first, first + static_cast<std::ptrdiff_t>(count),
+              scratch.begin() + static_cast<std::ptrdiff_t>(lo));
+    lo += count;
+  }
+  scratch.resize(un);
+  return scratch;
 }
 
 void exchange_halo_rows(simmpi::Comm& comm, int tag_base,

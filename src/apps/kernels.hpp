@@ -198,12 +198,17 @@ void xpby(std::span<const Real> x, Real beta, std::span<Real> y);
 /// Global 2-norm of a partitioned vector.
 Real global_norm2(simmpi::Comm& comm, std::span<const Real> x);
 
-/// Gather a block-partitioned vector of global length `n` onto all ranks.
-/// Handles uneven partitions by padding blocks to the maximum block size.
-/// `local` must be this rank's block under simmpi::block_partition(n, p, r).
-std::vector<Real> allgather_blocks(simmpi::Comm& comm,
-                                   std::span<const Real> local,
-                                   std::int64_t n);
+/// Gather a block-partitioned vector of global length `n` onto all ranks
+/// and return a view of it. `local` must be this rank's block under
+/// simmpi::block_partition(n, p, r). On one rank the view is `local`
+/// itself; otherwise it is `scratch`, which callers keep across calls so
+/// its capacity is reused. Equal blocks gather straight into the global
+/// layout; uneven ones travel padded to the largest block and are
+/// compacted in place. The view lives until `scratch` or `local` changes.
+std::span<const Real> allgather_blocks(simmpi::Comm& comm,
+                                       std::span<const Real> local,
+                                       std::int64_t n,
+                                       std::vector<Real>& scratch);
 
 /// Exchange one value-row of width `width` with the previous and next rank
 /// of a 1D chain (rank-1 and rank+1; skipped at the ends). On return,

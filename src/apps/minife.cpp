@@ -217,8 +217,9 @@ AppResult MiniFeApp::run(simmpi::Comm& comm) const {
     rnorm = sqrt(rho_r);
   }
 
+  std::vector<Real> gathered;  // allgather_blocks' reused gather buffer
   auto matvec = [&](std::span<const Real> in_local, std::span<Real> out) {
-    const std::vector<Real> full = allgather_blocks(comm, in_local, n_nodes);
+    const auto full = allgather_blocks(comm, in_local, n_nodes, gathered);
     for (std::size_t i = 0; i < local_rows; ++i) {
       const std::size_t first = row_ptr[i];
       const std::size_t count = row_ptr[i + 1] - first;

@@ -29,21 +29,13 @@ void Comm::barrier() {
     // indistinguishable to campaign results.
     if (job_->abort.triggered()) throw AbortError();
     const std::uint64_t epoch = next_collective_epoch(6);
-    detail::FusedGroup& group = fused_group();
     const int logical_sends = rank_ == 0 ? size_ - 1 : 1;
     for (int i = 0; i < logical_sends; ++i) record_logical_send(1);
     detail::Arrival arrival;
     arrival.fiber = FiberScheduler::current_fiber();
-    switch (group.arrive(rank_, epoch, arrival, size_)) {
-      case detail::FusedGroup::ArriveOutcome::EpochMismatch:
-        throw UsageError("collective: SPMD sequence mismatch");
-      case detail::FusedGroup::ArriveOutcome::Combiner:
-        group.complete(epoch, *job_->scheduler);
-        return;
-      case detail::FusedGroup::ArriveOutcome::Waiter:
-        await_fused(group, epoch);
-        return;
-    }
+    arrival.op = detail::FusedOp::Barrier;
+    arrive_fused(fused_group(), rank_, epoch, arrival, [] {});
+    return;
   }
   // Linear notify/release through rank 0. Two message waves; abort-safe
   // because it reuses the ordinary mailbox machinery.

@@ -28,6 +28,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simmpi/collective.hpp"
@@ -316,13 +317,18 @@ class Comm {
     }
   }
 
-  /// Reduce-to-all: tree reduce onto rank 0 followed by a broadcast, so
-  /// every rank observes the same bit pattern (and corruption) in the
-  /// result.
+  /// Reduce-to-all: logically a tree reduce onto rank 0 followed by a
+  /// broadcast, so every rank observes the same bit pattern (and
+  /// corruption) in the result. Fused, both trees run in one combine at a
+  /// single arrival; with fusion off they are the mailbox reduce and bcast.
   template <Transportable T, typename Op = Sum>
   void allreduce(std::span<const T> in, std::span<T> out, Op op = {}) {
     if (in.size() != out.size()) {
       throw UsageError("allreduce: in/out size mismatch");
+    }
+    if (fused_active()) {
+      allreduce_fused(in, out, op);
+      return;
     }
     reduce(in, out, /*root=*/0, op);
     bcast(out, /*root=*/0);
@@ -349,7 +355,9 @@ class Comm {
         auto slot = out.subspan(static_cast<std::size_t>(r) * in.size(),
                                 in.size());
         if (r == rank_) {
-          std::copy(in.begin(), in.end(), slot.begin());
+          if (in.data() != slot.data()) {
+            std::copy(in.begin(), in.end(), slot.begin());
+          }
         } else {
           recv_internal(r, tag, slot);
         }
@@ -359,11 +367,22 @@ class Comm {
     }
   }
 
-  /// Gather-to-all: gather on rank 0 + broadcast.
+  /// Gather-to-all: logically a gather onto rank 0 followed by a
+  /// broadcast. Fused, the gather and the bcast tree run in one combine at
+  /// a single arrival. `in` may be this rank's own block of `out` but must
+  /// not overlap any other block.
   template <Transportable T>
   void allgather(std::span<const T> in, std::span<T> out) {
     if (out.size() != in.size() * static_cast<std::size_t>(size_)) {
       throw UsageError("allgather: out must be size()*block elements");
+    }
+    check_own_block_only(
+        in, in, out,
+        out.subspan(static_cast<std::size_t>(rank_) * in.size(), in.size()),
+        "allgather");
+    if (fused_active()) {
+      allgather_fused(in, out, /*uniform=*/true);
+      return;
     }
     gather(in, out, /*root=*/0);
     bcast(out, /*root=*/0);
@@ -384,7 +403,9 @@ class Comm {
       for (int r = 0; r < size_; ++r) {
         auto slot = out.subspan(offset, counts[static_cast<std::size_t>(r)]);
         if (r == rank_) {
-          std::copy(in.begin(), in.end(), slot.begin());
+          if (in.data() != slot.data()) {
+            std::copy(in.begin(), in.end(), slot.begin());
+          }
         } else {
           recv_internal(r, tag, slot);
         }
@@ -398,10 +419,23 @@ class Comm {
     }
   }
 
-  /// Variable-count gather-to-all (MPI_Allgatherv).
+  /// Variable-count gather-to-all (MPI_Allgatherv): gatherv onto rank 0
+  /// plus a broadcast, fused like allgather. `out` must hold sum(counts)
+  /// elements on every rank.
   template <Transportable T>
   void allgatherv(std::span<const T> in, std::span<T> out,
                   std::span<const std::size_t> counts) {
+    check_counts(counts, in.size(), "allgatherv");
+    const auto [own, total] = own_offset_and_total(counts);
+    if (total != out.size()) {
+      throw UsageError("allgatherv: out must hold sum(counts) elements");
+    }
+    check_own_block_only(in, in, out, out.subspan(own, in.size()),
+                         "allgatherv");
+    if (fused_active()) {
+      allgather_fused(in, out, /*uniform=*/false);
+      return;
+    }
     gatherv(in, out, counts, /*root=*/0);
     bcast(out, /*root=*/0);
   }
@@ -432,7 +466,10 @@ class Comm {
 
   /// Personalized all-to-all exchange of equal-size blocks: block j of `in`
   /// goes to rank j; block i of `out` comes from rank i. This is the
-  /// communication pattern of FT's distributed transpose.
+  /// communication pattern of FT's distributed transpose. Logically p−1
+  /// sends and p−1 receives per rank; fused, the combiner copies every
+  /// block straight from its sender's `in` at a single arrival. `in` and
+  /// `out` may share only this rank's own block.
   template <Transportable T>
   void alltoall(std::span<const T> in, std::span<T> out) {
     const auto p = static_cast<std::size_t>(size_);
@@ -440,6 +477,13 @@ class Comm {
       throw UsageError("alltoall: buffers must be size()*block elements");
     }
     const std::size_t block = in.size() / p;
+    const std::size_t own = static_cast<std::size_t>(rank_) * block;
+    check_own_block_only(in, in.subspan(own, block), out,
+                         out.subspan(own, block), "alltoall");
+    if (fused_active()) {
+      alltoall_fused(in, out);
+      return;
+    }
     const int tag = next_collective_tag(4);
     for (int r = 0; r < size_; ++r) {
       if (r == rank_) continue;
@@ -458,13 +502,23 @@ class Comm {
 
   /// Variable-count personalized exchange (MPI_Alltoallv). `in` holds my
   /// blocks back to back in rank order with sizes `send_counts`; `out`
-  /// receives blocks in rank order with sizes `recv_counts`.
+  /// receives blocks in rank order with sizes `recv_counts`. Zero-count
+  /// blocks are not sent. Always mailbox traffic (no app calls it); `in`
+  /// and `out` may share only this rank's own block, as for alltoall.
   template <Transportable T>
   void alltoallv(std::span<const T> in,
                  std::span<const std::size_t> send_counts, std::span<T> out,
                  std::span<const std::size_t> recv_counts) {
     check_counts(send_counts, SIZE_MAX, "alltoallv");
     check_counts(recv_counts, SIZE_MAX, "alltoallv");
+    const auto [send_own, send_total] = own_offset_and_total(send_counts);
+    const auto [recv_own, recv_total] = own_offset_and_total(recv_counts);
+    if (send_total > in.size() || recv_total > out.size()) {
+      throw UsageError("alltoallv: counts exceed the buffers");
+    }
+    const auto me = static_cast<std::size_t>(rank_);
+    check_own_block_only(in, in.subspan(send_own, send_counts[me]), out,
+                         out.subspan(recv_own, recv_counts[me]), "alltoallv");
     const int tag = next_collective_tag(4);
     std::size_t send_offset = 0;
     std::span<const T> self_block;
@@ -571,15 +625,15 @@ class Comm {
 
   // ---- fused collectives ----------------------------------------------------
   //
-  // The fused implementations below mirror the mailbox tree walks exactly
-  // — same virtual-rank numbering, same child order, same combine order
-  // under the same LibraryGuard, same on_receive payloads attributed to
-  // the same logical rank — but execute the whole tree as one combine on
-  // the last arriving fiber instead of 2(N-1) parked message hops.
-  // Transport stats record the *logical* tree messages (each rank records
-  // its own sends before arriving) so either path reports identical
-  // counts. See collective.hpp for the arrival/epoch protocol and the
-  // pointer-safety argument.
+  // The fused implementations below mirror the mailbox decompositions
+  // exactly — same virtual-rank numbering, same child order, same combine
+  // order under the same LibraryGuard, same on_receive payloads attributed
+  // to the same logical rank in the same per-rank order — but execute the
+  // whole collective, every phase of it, as one combine on the last
+  // arriving fiber instead of parked message hops. Transport stats record
+  // the *logical* messages (each rank records its own sends before
+  // arriving) so either path reports identical counts. See collective.hpp
+  // for the arrival/epoch protocol and the pointer-safety argument.
 
   /// True when collectives should fuse: this is a multi-rank job (so it
   /// runs on the fiber scheduler) and the test toggle is on.
@@ -615,13 +669,14 @@ class Comm {
   /// Park until the fused group's combiner publishes `epoch`. Abort and
   /// deadlock are observed after a wake: an arrival whose job aborted is
   /// never combined, because every rank checks the abort token before it
-  /// arrives.
+  /// arrives. The combiner's wake_all empties the wait list; only the
+  /// teardown wakes leave this fiber's entry for it to remove.
   void await_fused(detail::FusedGroup& group, std::uint64_t epoch) {
     detail::Fiber* const self = FiberScheduler::current_fiber();
     group.waiters().add(self);
     while (group.done_epoch() < epoch) {
       job_->scheduler->park();
-      if (group.done_epoch() >= epoch) break;
+      if (group.done_epoch() >= epoch) return;
       if (job_->abort.triggered()) {
         group.waiters().remove(self);
         throw AbortError();
@@ -632,41 +687,70 @@ class Comm {
             "collective blocked with no runnable fiber: deadlock");
       }
     }
-    group.waiters().remove(self);
+  }
+
+  /// Arrive at `group` for `epoch` as virtual rank `vrank`. The last
+  /// arriver runs `combine` and wakes the group; everyone else parks
+  /// until it has.
+  template <typename Combine>
+  void arrive_fused(detail::FusedGroup& group, int vrank,
+                    std::uint64_t epoch, const detail::Arrival& arrival,
+                    Combine&& combine) {
+    switch (group.arrive(vrank, epoch, arrival, size_)) {
+      case detail::FusedGroup::ArriveOutcome::EpochMismatch:
+        throw UsageError("collective: SPMD sequence mismatch");
+      case detail::FusedGroup::ArriveOutcome::Combiner:
+        combine();
+        group.complete(epoch, *job_->scheduler);
+        return;
+      case detail::FusedGroup::ArriveOutcome::Waiter:
+        await_fused(group, epoch);
+        return;
+    }
+  }
+
+  /// This rank's arrival: `data`/`len` its contribution, `out`/`out_len`
+  /// its result slot.
+  template <Transportable T>
+  static detail::Arrival make_arrival(detail::FusedOp op, const T* data,
+                                      std::size_t len, T* out,
+                                      std::size_t out_len) {
+    detail::Arrival arrival;
+    // The combiner writes through `data` only for reduce accumulators,
+    // which are always this rank's own mutable buffers.
+    arrival.data = reinterpret_cast<std::byte*>(const_cast<T*>(data));
+    arrival.len = len * sizeof(T);
+    arrival.out = reinterpret_cast<std::byte*>(out);
+    arrival.out_len = out_len * sizeof(T);
+    arrival.fiber = FiberScheduler::current_fiber();
+    arrival.op = op;
+    return arrival;
+  }
+
+  /// Record the logical bcast edges from virtual rank `vrank` to its
+  /// children, exactly as the mailbox tree walk would send them.
+  void record_bcast_sends(int vrank, std::size_t bytes) noexcept {
+    for (int child_v : {2 * vrank + 1, 2 * vrank + 2}) {
+      if (child_v < size_) record_logical_send(bytes);
+    }
   }
 
   template <Transportable T>
   void bcast_fused(std::span<T> buf, int root) {
     if (job_->abort.triggered()) throw AbortError();
     const std::uint64_t epoch = next_collective_epoch(0);
-    detail::FusedGroup& group = fused_group();
     const int vrank = (rank_ - root + size_) % size_;
-    // Record this rank's own logical tree sends (edges to its children),
-    // exactly as the mailbox walk would have.
-    for (int child_v : {2 * vrank + 1, 2 * vrank + 2}) {
-      if (child_v < size_) record_logical_send(buf.size_bytes());
-    }
-    detail::Arrival arrival;
-    arrival.data = reinterpret_cast<std::byte*>(buf.data());
-    arrival.out = arrival.data;
-    arrival.len = buf.size_bytes();
-    arrival.fiber = FiberScheduler::current_fiber();
-    switch (group.arrive(vrank, epoch, arrival, size_)) {
-      case detail::FusedGroup::ArriveOutcome::EpochMismatch:
-        throw UsageError("collective: SPMD sequence mismatch");
-      case detail::FusedGroup::ArriveOutcome::Combiner:
-        combine_bcast_subtree<T>(group, 0);
-        group.complete(epoch, *job_->scheduler);
-        return;
-      case detail::FusedGroup::ArriveOutcome::Waiter:
-        await_fused(group, epoch);
-        return;  // combiner already wrote buf and replayed on_receive
-    }
+    record_bcast_sends(vrank, buf.size_bytes());
+    detail::FusedGroup& group = fused_group();
+    arrive_fused(group, vrank, epoch,
+                 make_arrival(detail::FusedOp::Bcast, buf.data(), buf.size(),
+                              buf.data(), buf.size()),
+                 [&] { combine_bcast_subtree<T>(group, 0); });
   }
 
   /// Combiner side of a fused bcast: pre-order walk from virtual rank
-  /// `v`, copying each parent's buffer to its children and replaying the
-  /// child's receive instrumentation under the child's own fiber TLS.
+  /// `v`, copying each parent's result slot to its children and replaying
+  /// the child's receive instrumentation under the child's own fiber TLS.
   /// The copy source is the *parent's* buffer, not the root's: the
   /// mailbox walk forwards whatever bytes a rank holds after its own
   /// receive, so a payload flip landing mid-tree contaminates that rank's
@@ -678,16 +762,16 @@ class Comm {
     for (int child_v : {2 * v + 1, 2 * v + 2}) {
       if (child_v >= size_) continue;
       detail::Arrival& child = group.slot(child_v);
-      if (child.len != parent.len) {
+      if (child.out_len != parent.out_len) {
         throw UsageError("collective: message size mismatch");
       }
-      if (child.len != 0 && child.out != parent.out) {
-        std::memcpy(child.out, parent.out, child.len);
+      if (child.out_len != 0 && child.out != parent.out) {
+        std::memcpy(child.out, parent.out, child.out_len);
       }
       {
         BorrowFiberTls borrow(child.fiber);
         TransportTraits<T>::on_receive(std::span<T>(
-            reinterpret_cast<T*>(child.out), child.len / sizeof(T)));
+            reinterpret_cast<T*>(child.out), child.out_len / sizeof(T)));
       }
       combine_bcast_subtree<T>(group, child_v);
     }
@@ -698,38 +782,26 @@ class Comm {
                     Op op) {
     if (job_->abort.triggered()) throw AbortError();
     const std::uint64_t epoch = next_collective_epoch(1);
-    detail::FusedGroup& group = fused_group();
     const int vrank = (rank_ - root + size_) % size_;
     // The accumulator lives on this fiber's stack; it stays valid for the
     // combiner because this fiber stays parked until the combine is
     // complete (see collective.hpp).
     std::vector<T> acc(in.begin(), in.end());
     if (vrank != 0) record_logical_send(acc.size() * sizeof(T));
-    detail::Arrival arrival;
-    arrival.data = reinterpret_cast<std::byte*>(acc.data());
-    arrival.out =
-        vrank == 0 ? reinterpret_cast<std::byte*>(out.data()) : nullptr;
-    arrival.len = acc.size() * sizeof(T);
-    arrival.fiber = FiberScheduler::current_fiber();
-    switch (group.arrive(vrank, epoch, arrival, size_)) {
-      case detail::FusedGroup::ArriveOutcome::EpochMismatch:
-        throw UsageError("collective: SPMD sequence mismatch");
-      case detail::FusedGroup::ArriveOutcome::Combiner: {
-        combine_reduce_subtree<T>(group, 0, op);
-        // Root-local finish: copy virtual rank 0's accumulator into its
-        // out span (plain copy, no receive instrumentation — identical to
-        // the mailbox walk's local std::copy on the root).
-        detail::Arrival& root_a = group.slot(0);
-        if (root_a.len != 0) {
-          std::memcpy(root_a.out, root_a.data, root_a.len);
-        }
-        group.complete(epoch, *job_->scheduler);
-        return;
-      }
-      case detail::FusedGroup::ArriveOutcome::Waiter:
-        await_fused(group, epoch);
-        return;
-    }
+    detail::FusedGroup& group = fused_group();
+    arrive_fused(group, vrank, epoch,
+                 make_arrival(detail::FusedOp::Reduce, acc.data(), acc.size(),
+                              vrank == 0 ? out.data() : nullptr, acc.size()),
+                 [&] {
+                   combine_reduce_subtree<T>(group, 0, op);
+                   // Root-local finish: copy virtual rank 0's accumulator
+                   // into its out span (plain copy, no receive
+                   // instrumentation — the mailbox walk's local std::copy).
+                   detail::Arrival& root_a = group.slot(0);
+                   if (root_a.len != 0) {
+                     std::memcpy(root_a.out, root_a.data, root_a.len);
+                   }
+                 });
   }
 
   /// Combiner side of a fused reduce: post-order walk (left child first,
@@ -748,10 +820,10 @@ class Comm {
       if (child.len != parent.len) {
         throw UsageError("collective: message size mismatch");
       }
-      // child.data is the child fiber's stack-local accumulator (a copy
-      // of its contribution), so a payload flip here corrupts only what
-      // this parent combines — the same bytes the mailbox path would have
-      // flipped in its own receive temp — never the child's live state.
+      // child.data is the child's accumulator — a copy of its
+      // contribution that the child never reads again — so a payload flip
+      // here corrupts only what this parent combines, the same bytes the
+      // mailbox path would have flipped in its own receive temp.
       auto* child_vals = reinterpret_cast<T*>(child.data);
       BorrowFiberTls borrow(parent.fiber);
       TransportTraits<T>::on_receive(std::span<T>(child_vals, count));
@@ -760,6 +832,162 @@ class Comm {
       for (std::size_t i = 0; i < count; ++i) {
         parent_vals[i] = op(parent_vals[i], child_vals[i]);
       }
+    }
+  }
+
+  /// Fused allreduce: the reduce tree, then the bcast tree, in one
+  /// combine. `out` doubles as each rank's reduce accumulator: the root's
+  /// accumulator is its result, and the bcast overwrites every other
+  /// rank's `out` before anyone reads it.
+  template <Transportable T, typename Op>
+  void allreduce_fused(std::span<const T> in, std::span<T> out, Op op) {
+    if (job_->abort.triggered()) throw AbortError();
+    // The reduce's and the bcast's sequence numbers, in mailbox order.
+    const std::uint64_t epoch = next_collective_epoch(1);
+    next_collective_tag(0);
+    if (rank_ != 0) record_logical_send(out.size_bytes());
+    record_bcast_sends(rank_, out.size_bytes());
+    if (!in.empty() && in.data() != out.data()) {
+      std::memmove(out.data(), in.data(), in.size_bytes());
+    }
+    detail::FusedGroup& group = fused_group();
+    arrive_fused(group, rank_, epoch,
+                 make_arrival(detail::FusedOp::Allreduce, out.data(),
+                              out.size(), out.data(), out.size()),
+                 [&] {
+                   combine_reduce_subtree<T>(group, 0, op);
+                   combine_bcast_subtree<T>(group, 0);
+                 });
+  }
+
+  /// Fused allgather(v): rank 0 gathers every contribution in rank order,
+  /// then the bcast tree runs, in one combine. `uniform` demands equal
+  /// contributions (allgather); allgatherv lays them out back to back.
+  template <Transportable T>
+  void allgather_fused(std::span<const T> in, std::span<T> out,
+                       bool uniform) {
+    if (job_->abort.triggered()) throw AbortError();
+    // The gather's and the bcast's sequence numbers, in mailbox order.
+    const std::uint64_t epoch = next_collective_epoch(2);
+    next_collective_tag(0);
+    if (rank_ != 0) record_logical_send(in.size_bytes());
+    record_bcast_sends(rank_, out.size_bytes());
+    detail::FusedGroup& group = fused_group();
+    arrive_fused(group, rank_, epoch,
+                 make_arrival(detail::FusedOp::Allgather, in.data(), in.size(),
+                              out.data(), out.size()),
+                 [&] {
+                   combine_gather_to_root<T>(group, uniform);
+                   combine_bcast_subtree<T>(group, 0);
+                 });
+  }
+
+  /// Combiner side of the gather onto rank 0: copy each rank's
+  /// contribution into rank 0's result slot in rank order, replaying
+  /// rank 0's receive instrumentation for every block but its own.
+  template <Transportable T>
+  void combine_gather_to_root(detail::FusedGroup& group, bool uniform) {
+    const detail::Arrival& root = group.slot(0);
+    BorrowFiberTls borrow(root.fiber);
+    std::size_t offset = 0;
+    for (int r = 0; r < size_; ++r) {
+      const detail::Arrival& from = group.slot(r);
+      if ((uniform && from.len != root.len) ||
+          from.len > root.out_len - offset) {
+        throw UsageError("collective: message size mismatch");
+      }
+      std::byte* slot = root.out + offset;
+      if (from.len != 0 && from.data != slot) {
+        std::memmove(slot, from.data, from.len);
+      }
+      if (r != 0) {
+        TransportTraits<T>::on_receive(
+            std::span<T>(reinterpret_cast<T*>(slot), from.len / sizeof(T)));
+      }
+      offset += from.len;
+    }
+    if (offset != root.out_len) {
+      throw UsageError("collective: message size mismatch");
+    }
+  }
+
+  template <Transportable T>
+  void alltoall_fused(std::span<const T> in, std::span<T> out) {
+    if (job_->abort.triggered()) throw AbortError();
+    const std::uint64_t epoch = next_collective_epoch(4);
+    const std::size_t block_bytes =
+        in.size_bytes() / static_cast<std::size_t>(size_);
+    for (int r = 0; r < size_ - 1; ++r) record_logical_send(block_bytes);
+    detail::FusedGroup& group = fused_group();
+    arrive_fused(group, rank_, epoch,
+                 make_arrival(detail::FusedOp::Alltoall, in.data(), in.size(),
+                              out.data(), out.size()),
+                 [&] { combine_alltoall<T>(group); });
+  }
+
+  /// Combiner side of a fused alltoall: for each receiver in rank order,
+  /// copy block r of every sender's `in` into block i of the receiver's
+  /// `out` and replay the receiver's on_receive per peer block in the
+  /// mailbox receive order, under one borrow of the receiver's TLS. A
+  /// sender's `in` is still intact when a later receiver reads it,
+  /// because `in` may overlap `out` only in the rank's own block, which
+  /// no other receiver reads.
+  template <Transportable T>
+  void combine_alltoall(detail::FusedGroup& group) {
+    const std::size_t bytes = group.slot(0).len;
+    for (int r = 1; r < size_; ++r) {
+      if (group.slot(r).len != bytes) {
+        throw UsageError("collective: message size mismatch");
+      }
+    }
+    const std::size_t block = bytes / static_cast<std::size_t>(size_);
+    for (int r = 0; r < size_; ++r) {
+      const detail::Arrival& to = group.slot(r);
+      BorrowFiberTls borrow(to.fiber);
+      for (int i = 0; i < size_; ++i) {
+        std::byte* slot = to.out + static_cast<std::size_t>(i) * block;
+        const std::byte* from =
+            group.slot(i).data + static_cast<std::size_t>(r) * block;
+        if (block != 0 && from != slot) std::memmove(slot, from, block);
+        if (i != r) {
+          TransportTraits<T>::on_receive(
+              std::span<T>(reinterpret_cast<T*>(slot), block / sizeof(T)));
+        }
+      }
+    }
+  }
+
+  /// Reject an `in` that shares bytes with `out` anywhere but between
+  /// `in_own` and `out_own` (this rank's own blocks). The fused combine
+  /// reads peers' `in` after it has written earlier receivers' `out`,
+  /// while the mailbox path copies at send time; with such aliasing the
+  /// two would silently differ. Only this rank's buffers are checked.
+  template <Transportable T>
+  static void check_own_block_only(std::span<const T> in,
+                                   std::span<const T> in_own,
+                                   std::span<T> out, std::span<T> out_own,
+                                   const char* what) {
+    const auto overlaps = [](const T* a, std::size_t an, const T* b,
+                             std::size_t bn) {
+      const auto a0 = reinterpret_cast<std::uintptr_t>(a);
+      const auto b0 = reinterpret_cast<std::uintptr_t>(b);
+      return an != 0 && bn != 0 && a0 < b0 + bn * sizeof(T) &&
+             b0 < a0 + an * sizeof(T);
+    };
+    const T* in_end = in.data() + in.size();
+    const T* own_end = in_own.data() + in_own.size();
+    const T* out_end = out.data() + out.size();
+    const T* out_own_end = out_own.data() + out_own.size();
+    if (overlaps(in.data(), static_cast<std::size_t>(in_own.data() - in.data()),
+                 out.data(), out.size()) ||
+        overlaps(own_end, static_cast<std::size_t>(in_end - own_end),
+                 out.data(), out.size()) ||
+        overlaps(in_own.data(), in_own.size(), out.data(),
+                 static_cast<std::size_t>(out_own.data() - out.data())) ||
+        overlaps(in_own.data(), in_own.size(), out_own_end,
+                 static_cast<std::size_t>(out_end - out_own_end))) {
+      throw UsageError(std::string(what) +
+                       ": in overlaps another block of out");
     }
   }
 
@@ -815,6 +1043,19 @@ class Comm {
     if (tag < 0 || tag > kMaxUserTag) {
       throw UsageError("tag " + std::to_string(tag) + " out of user range");
     }
+  }
+
+  /// Offset of this rank's block and the total of blocks laid back to
+  /// back with sizes `counts` (already checked to have size() entries).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> own_offset_and_total(
+      std::span<const std::size_t> counts) const noexcept {
+    std::size_t own = 0;
+    std::size_t total = 0;
+    for (int r = 0; r < size_; ++r) {
+      if (r == rank_) own = total;
+      total += counts[static_cast<std::size_t>(r)];
+    }
+    return {own, total};
   }
 
   void check_counts(std::span<const std::size_t> counts, std::size_t mine,

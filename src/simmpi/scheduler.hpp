@@ -127,7 +127,8 @@ class FiberScheduler {
 namespace detail {
 
 /// Parked fibers blocked on one structure (a fused-collective group).
-/// Entries are removed by the fibers themselves after they resume.
+/// wake_all() empties the list; a fiber woken any other way (abort or
+/// deadlock teardown) removes its own entry after it resumes.
 class WaitList {
  public:
   void add(Fiber* fiber) { fibers_.push_back(fiber); }
@@ -142,6 +143,7 @@ class WaitList {
   [[nodiscard]] bool empty() const noexcept { return fibers_.empty(); }
   void wake_all(FiberScheduler& scheduler) {
     for (Fiber* fiber : fibers_) scheduler.unpark(fiber);
+    fibers_.clear();
   }
 
  private:

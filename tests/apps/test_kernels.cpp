@@ -60,7 +60,8 @@ TEST(Kernels, AllgatherBlocksEvenPartition) {
     const auto range = simmpi::block_partition(8, comm.size(), comm.rank());
     std::vector<Real> mine;
     for (auto i = range.lo; i < range.hi; ++i) mine.push_back(Real(i * 1.5));
-    const auto full = allgather_blocks(comm, mine, 8);
+    std::vector<Real> scratch;
+    const auto full = allgather_blocks(comm, mine, 8, scratch);
     ASSERT_EQ(full.size(), 8u);
     for (int i = 0; i < 8; ++i) {
       EXPECT_DOUBLE_EQ(full[static_cast<std::size_t>(i)].value(), i * 1.5);
@@ -75,11 +76,31 @@ TEST(Kernels, AllgatherBlocksUnevenPartition) {
     const auto range = simmpi::block_partition(7, comm.size(), comm.rank());
     std::vector<Real> mine;
     for (auto i = range.lo; i < range.hi; ++i) mine.push_back(Real(100.0 + i));
-    const auto full = allgather_blocks(comm, mine, 7);
+    std::vector<Real> scratch;
+    const auto full = allgather_blocks(comm, mine, 7, scratch);
     ASSERT_EQ(full.size(), 7u);
     for (int i = 0; i < 7; ++i) {
       EXPECT_DOUBLE_EQ(full[static_cast<std::size_t>(i)].value(), 100.0 + i);
     }
+    // A second gather into the same (compacted) scratch buffer.
+    for (auto& v : mine) v = v + Real(50.0);
+    const auto again = allgather_blocks(comm, mine, 7, scratch);
+    ASSERT_EQ(again.size(), 7u);
+    for (int i = 0; i < 7; ++i) {
+      EXPECT_DOUBLE_EQ(again[static_cast<std::size_t>(i)].value(), 150.0 + i);
+    }
+  });
+  EXPECT_TRUE(result.ok);
+}
+
+TEST(Kernels, AllgatherBlocksOnOneRankIsTheLocalBlock) {
+  const auto result = Runtime::run(1, [](Comm& comm) {
+    const std::vector<Real> mine{Real(1.0), Real(2.0), Real(3.0)};
+    std::vector<Real> scratch;
+    const auto full = allgather_blocks(comm, mine, 3, scratch);
+    EXPECT_EQ(full.data(), mine.data());  // no copy at all
+    EXPECT_EQ(full.size(), 3u);
+    EXPECT_TRUE(scratch.empty());
   });
   EXPECT_TRUE(result.ok);
 }

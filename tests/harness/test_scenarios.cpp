@@ -201,6 +201,37 @@ TEST(ScenarioCampaigns, PayloadCampaignAgreesFusedVsMailboxAtDepthTwo) {
   EXPECT_EQ(fused, mailbox);
 }
 
+// Every collective an app calls arrives once at its fused group. FT's
+// alltoall transposes (complex values, which carry no payload stream, so
+// paper faults only), CG's per-matvec allgather at 16 ranks and MiniFE's
+// padded (uneven) allgather at 6 ranks must save the mailbox
+// decomposition's bytes, payload flips included.
+TEST(ScenarioCampaigns, FusedExchangeCampaignsAgreeWithMailbox) {
+  ModeRestore restore;
+  struct Case {
+    apps::AppId app;
+    int nranks;
+    const char* scenario;
+  };
+  for (const Case& c : {Case{apps::AppId::FT, 4, "paper"},
+                        Case{apps::AppId::FT, 16, "paper"},
+                        Case{apps::AppId::CG, 16, "payload"},
+                        Case{apps::AppId::MiniFE, 6, "payload"}}) {
+    const auto app = apps::make_app(c.app);
+    SCOPED_TRACE(::testing::Message() << app->name() << " at " << c.nranks
+                                      << " ranks, " << c.scenario);
+    DeploymentConfig cfg;
+    cfg.nranks = c.nranks;
+    cfg.trials = 24;
+    cfg.scenario = fsefi::scenario_by_name(c.scenario);
+    simmpi::detail::set_fused_collectives_enabled(true);
+    const std::string fused = fingerprint(CampaignRunner::run(*app, cfg));
+    simmpi::detail::set_fused_collectives_enabled(false);
+    const std::string mailbox = fingerprint(CampaignRunner::run(*app, cfg));
+    EXPECT_EQ(fused, mailbox);
+  }
+}
+
 TEST(ScenarioCampaigns, MechanismCountersFirePerFamily) {
   const auto app = apps::make_app(apps::AppId::CG);
   DeploymentConfig cfg;

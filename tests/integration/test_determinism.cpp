@@ -5,6 +5,7 @@
 // on.
 #include <gtest/gtest.h>
 
+#include "fsefi/scenario.hpp"
 #include "harness/campaign.hpp"
 #include "simmpi/runtime.hpp"
 
@@ -125,22 +126,41 @@ TEST(Determinism, ParallelCampaignBitIdenticalToSerial) {
 
 // Fused collectives are an optimisation of the mailbox decomposition,
 // not a different semantics: a campaign run with collectives forced onto
-// mailbox messages must classify every trial identically.
+// mailbox messages must classify every trial identically. Besides CG at 8
+// ranks, the apps whose hot collectives are allgather and alltoall: FT at
+// 4 and 16 ranks, CG at 16 ranks under payload faults, and MiniFE's
+// uneven, padded allgather at 6 ranks under payload faults.
 TEST(Determinism, FusedCollectivesCampaignMatchesMailboxCampaign) {
-  const auto app = apps::make_app(apps::AppId::CG);
-  DeploymentConfig cfg;
-  cfg.nranks = 8;
-  cfg.trials = 30;
-  cfg.seed = 20180813;
-  const auto fused = CampaignRunner::run(*app, cfg);
-  simmpi::detail::set_fused_collectives_enabled(false);
-  const auto mailbox = CampaignRunner::run(*app, cfg);
-  simmpi::detail::set_fused_collectives_enabled(true);
-  EXPECT_EQ(mailbox.overall.success, fused.overall.success);
-  EXPECT_EQ(mailbox.overall.sdc, fused.overall.sdc);
-  EXPECT_EQ(mailbox.overall.failure, fused.overall.failure);
-  EXPECT_EQ(mailbox.contamination_hist, fused.contamination_hist);
-  EXPECT_EQ(mailbox.golden.signature, fused.golden.signature);
+  struct Case {
+    apps::AppId app;
+    int nranks;
+    const char* scenario;
+  };
+  for (const Case& c : {Case{apps::AppId::CG, 8, "paper"},
+                        Case{apps::AppId::FT, 4, "paper"},
+                        Case{apps::AppId::FT, 16, "paper"},
+                        Case{apps::AppId::CG, 16, "payload"},
+                        Case{apps::AppId::MiniFE, 6, "payload"}}) {
+    const auto app = apps::make_app(c.app);
+    SCOPED_TRACE(::testing::Message() << app->name() << " at " << c.nranks
+                                      << " ranks, " << c.scenario);
+    DeploymentConfig cfg;
+    cfg.nranks = c.nranks;
+    cfg.trials = 30;
+    cfg.seed = 20180813;
+    cfg.scenario = fsefi::scenario_by_name(c.scenario);
+    const auto fused = CampaignRunner::run(*app, cfg);
+    simmpi::detail::set_fused_collectives_enabled(false);
+    const auto mailbox = CampaignRunner::run(*app, cfg);
+    simmpi::detail::set_fused_collectives_enabled(true);
+    EXPECT_EQ(mailbox.overall.success, fused.overall.success);
+    EXPECT_EQ(mailbox.overall.sdc, fused.overall.sdc);
+    EXPECT_EQ(mailbox.overall.failure, fused.overall.failure);
+    EXPECT_EQ(mailbox.contamination_hist, fused.contamination_hist);
+    EXPECT_EQ(mailbox.golden.signature, fused.golden.signature);
+    EXPECT_EQ(mailbox.golden.recv_reals, fused.golden.recv_reals);
+    EXPECT_TRUE(mailbox.metrics.logical_equal(fused.metrics));
+  }
 }
 
 TEST(Determinism, ParallelCampaignWithFewerTrialsThanWorkers) {

@@ -544,7 +544,18 @@ int maybe_rogue_worker_main(int argc, char** argv) {
         result.outcomes.front().contaminated = init.config.nranks + 1;
       }
       shard::write_message(fd, result);
-      if (mode == "duplicate") shard::write_message(fd, result);
+      if (mode == "duplicate") {
+        // Take the next unit before repeating unit 0's result, so the
+        // duplicate always lands while that unit is in flight — never
+        // after the campaign's last result, when nothing is left to
+        // re-dispatch.
+        const auto next = shard::read_message(fd);
+        shard::write_message(fd, result);
+        if (const auto* unit =
+                next ? std::get_if<shard::UnitMsg>(&*next) : nullptr) {
+          shard::write_message(fd, answer(*unit));
+        }
+      }
     }
     // Answer later units honestly until the coordinator kills us, so a bad
     // frame it wrongly accepted shows up in the tallies, not as a hang.
@@ -572,7 +583,9 @@ std::string rogue_worker(const std::string& dir, const std::string& name) {
 // stray id, a wrong outcome count, a duplicate, a result before any unit,
 // a contamination count past the job's ranks — never reach the tallies:
 // the worker is replaced, its unit re-run, and the campaign still saves
-// the in-process bytes.
+// the in-process bytes. The duplicate rogue runs as the only worker, so
+// it is sure to be handed a second unit before it repeats the first
+// result; with two workers its peer could take every remaining unit.
 TEST(ShardCampaign, MismatchedResultFramesAreRejectedAndReDispatched) {
   const auto app = apps::make_app(apps::AppId::CG);
   const harness::DeploymentConfig dep = small_config(16);
@@ -582,7 +595,7 @@ TEST(ShardCampaign, MismatchedResultFramesAreRejectedAndReDispatched) {
   for (const auto& [mode, cause] : kRogueModes) {
     SCOPED_TRACE(mode);
     shard::ShardOptions opts;
-    opts.shards = 2;
+    opts.shards = std::string_view(mode) == "duplicate" ? 1 : 2;
     opts.worker_path = rogue_worker(dir, std::string("rogue-once-") + mode);
     const auto sharded = shard::run_sharded_campaign(*app, dep, opts);
     EXPECT_EQ(normalized_dump(sharded), expected);
