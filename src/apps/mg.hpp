@@ -5,17 +5,20 @@
 // The output signature is the L2 norm of the final residual (NPB MG's
 // verification quantity) plus the solution norm.
 //
-// Parallelization (strong scaling): rows are block-partitioned; smoothing
-// and residual evaluation exchange one halo row with each neighbour and
-// run as the blocked stencil kernels of apps/kernels.hpp.
-// Levels whose row count is no longer divisible by the rank count are
-// *replicated*: the residual is allgathered and every rank runs the
-// remaining coarse-grid correction redundantly. That work does not exist
-// in the serial run, so the op count grows with the rank count: 395,605
-// FP ops serially, 6,005,440 at 64 ranks, where the 32-, 16- and 8-row
-// levels are replicated (Table 1 of the paper reports no parallel-unique
-// computation for MG). ROADMAP.md's MG coarse-grid item tracks
-// distributing those levels instead.
+// Parallelization (strong scaling): every level is block-partitioned by
+// rows over the largest rank subset that divides it. A level of R rows
+// lives on min(p, R) ranks at stride p / min(p, R) — at 64 ranks the 32-row
+// level on the even ranks, the 16-row level on every fourth and the 8-row
+// level on every eighth — so, as in NPB MG, some ranks hold no point of a
+// coarse level and run no op on it. Smoothing and residual evaluation
+// exchange one halo row with the neighbouring owners and run as the
+// blocked stencil kernels of apps/kernels.hpp. Restriction and
+// prolongation run as cells too; where the stride doubles each fine owner
+// holds one row, the even ones hold the coarse rows and the odd ones send
+// their row (restriction) or receive both coarse neighbours
+// (prolongation). Every rank runs its share of the serial work: 395,605
+// FP ops serially and 395,605 + 5 (p - 1) at p ranks, the extra being
+// every rank's own square root of the five global norms.
 #pragma once
 
 #include <cstdint>

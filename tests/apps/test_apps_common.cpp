@@ -76,7 +76,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{AppId::FT, 1}, Case{AppId::FT, 4}, Case{AppId::FT, 8},
                       Case{AppId::FT, 16},
                       Case{AppId::MG, 1}, Case{AppId::MG, 4}, Case{AppId::MG, 8},
-                      Case{AppId::MG, 32},
+                      Case{AppId::MG, 16}, Case{AppId::MG, 32},
+                      Case{AppId::MG, 64}, Case{AppId::MG, 128},
                       Case{AppId::LU, 1}, Case{AppId::LU, 4}, Case{AppId::LU, 8},
                       Case{AppId::LU, 10},
                       Case{AppId::MiniFE, 1}, Case{AppId::MiniFE, 4},

@@ -3,6 +3,7 @@
 // and the configurations must match their declared input problems.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <utility>
@@ -100,19 +101,45 @@ TEST(Mg, MoreCyclesReduceResidualFurther) {
   EXPECT_LT(r_many, r_few);
 }
 
-TEST(Mg, AgglomeratedScaleMatchesSerial) {
-  // At 64 ranks the coarse levels are solved redundantly; the answer must
-  // match the serial one to reduction-order accuracy.
+TEST(Mg, DistributedCoarseLevelsMatchSerial) {
+  // At 16, 64 and 128 ranks the coarse levels live on strided rank
+  // subsets (some ranks hold no row of them); the answer must match the
+  // serial one to reduction-order accuracy.
   const MgApp app(MgApp::config_for_class("S"), "S");
   const auto serial = run_signature(app, 1);
-  const auto wide = run_signature(app, 64);
-  EXPECT_NEAR(serial[0], wide[0], 1e-9 * (std::abs(serial[0]) + 1.0));
+  for (const int p : {16, 64, 128}) {
+    const auto wide = run_signature(app, p);
+    ASSERT_EQ(serial.size(), wide.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_NEAR(serial[i], wide[i], 1e-9 * (std::abs(serial[i]) + 1.0))
+          << p << " ranks, signature " << i;
+    }
+  }
+}
+
+TEST(Mg, EveryRankCountRunsTheSerialOps) {
+  // No level is replicated: p ranks run the serial ops plus each rank's
+  // own square root of the five global norms.
+  const MgApp app(MgApp::config_for_class("S"), "S");
+  constexpr std::uint64_t kSerialOps = 395'605;
+  for (const int p : {1, 2, 4, 8, 16, 32, 64, 128}) {
+    const auto golden = harness::profile_app(app, p);
+    std::uint64_t total = 0;
+    for (const auto& profile : golden.profiles) total += profile.total();
+    EXPECT_EQ(total, kSerialOps + 5 * static_cast<std::uint64_t>(p - 1))
+        << p << " ranks";
+    if (p == 64) {
+      EXPECT_LE(golden.max_rank_ops, kSerialOps / 8);
+    }
+  }
 }
 
 TEST(Mg, BadLevelConfigurationThrows) {
   MgApp::Config cfg;
   cfg.rows = 4;
   cfg.coarsest_rows = 8;
+  EXPECT_THROW(MgApp(cfg, "S"), std::invalid_argument);
+  cfg.rows = 96;  // levels must halve down to an integral owner stride
   EXPECT_THROW(MgApp(cfg, "S"), std::invalid_argument);
 }
 

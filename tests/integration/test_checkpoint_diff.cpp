@@ -28,6 +28,8 @@ std::vector<int> rank_counts(const apps::App& app) {
     if (app.supports(n)) out.push_back(n);
   }
   if (out.size() < 2 && app.supports(1)) out.insert(out.begin(), 1);
+  // At 64 ranks MG's coarse levels live on strided rank subsets.
+  if (app.name() == "MG") out.push_back(64);
   return out;
 }
 

@@ -145,7 +145,9 @@ TEST(FastRealDiff, CampaignBitIdenticalToReference) {
   };
   // MG at 1 rank with 8 errors puts many event windows mid-stencil; 16
   // ranks is the smallest count at which an MG level (the 8-row coarsest)
-  // is replicated on every rank. PENNANT and LU run their per-step loops
+  // lives on a strided rank subset, and 64 ranks puts three levels there,
+  // so restriction and prolongation cells read rows sent across a
+  // doubling stride. PENNANT and LU run their per-step loops
   // and SSOR sweeps as cell windows: 8 errors at 1 rank put events (and
   // thrown zone updates) mid-loop, and 8 or 16 ranks feed corrupted halos
   // and wavefront rows into clean windows.
@@ -153,6 +155,7 @@ TEST(FastRealDiff, CampaignBitIdenticalToReference) {
                        Case{apps::AppId::MG, 4, 1},
                        Case{apps::AppId::MG, 1, 8},
                        Case{apps::AppId::MG, 16, 1},
+                       Case{apps::AppId::MG, 64, 1},
                        Case{apps::AppId::PENNANT, 1, 8},
                        Case{apps::AppId::PENNANT, 8, 1},
                        Case{apps::AppId::LU, 1, 8},

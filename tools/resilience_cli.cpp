@@ -95,7 +95,9 @@ class Args {
       }
       key = key.substr(2);
       if (key == "no-measure" || key == "trials-auto") {
-        values_[key] = "1";
+        // Not `= "1"`: GCC 12's -O3 std::string::assign(const char*)
+        // inlining raises a bogus -Wrestrict here.
+        values_[key] = std::string("1");
         continue;
       }
       if (i + 1 >= argc) {
