@@ -272,8 +272,8 @@ void BM_DotPlainDouble(benchmark::State& state) {
 }
 BENCHMARK(BM_DotPlainDouble);
 
-/// The blocked local_dot kernel under an unarmed context (the golden
-/// pre-pass configuration): quiet windows run as raw double arithmetic.
+/// local_dot under an unarmed context (the golden pre-pass configuration):
+/// its 128-element chunk cells run in quiet windows on PackedReal.
 void BM_LocalDotUnderContext(benchmark::State& state) {
   const std::size_t n = 4096;
   std::vector<Real> a(n, Real(1.5)), b(n, Real(0.75));
@@ -306,8 +306,8 @@ void BM_LocalDotArmedPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalDotArmedPlan)->Repetitions(9);
 
-/// The seed behavior: quiet_ops() is 0 on the reference path, so the same
-/// kernel degrades to per-op instrumented arithmetic.
+/// The seed behavior: quiet_ops() is 0 on the reference path, so every
+/// chunk cell of the same kernel runs on per-op instrumented arithmetic.
 void BM_LocalDotReference(benchmark::State& state) {
   const std::size_t n = 4096;
   std::vector<Real> a(n, Real(1.5)), b(n, Real(0.75));
@@ -361,8 +361,8 @@ const bool kAppRunsRegistered = [] {
   return true;
 }();
 
-/// FT's FFT kernel under an unarmed context: quiet windows of butterflies
-/// run as raw double arithmetic. The row is reloaded every iteration so
+/// FT's FFT kernel under an unarmed context: quiet windows of butterfly
+/// cells run on PackedReal. The row is reloaded every iteration so
 /// repeated unnormalized transforms never overflow.
 void fft_transform_under_context(benchmark::State& state) {
   constexpr int n = 256;
@@ -399,8 +399,8 @@ void BM_FftTransformUnderContextReference(benchmark::State& state) {
 BENCHMARK(BM_FftTransformUnderContextReference)->Repetitions(9);
 
 /// One damped-Jacobi sweep of MG's finest level (128 x 10, one rank) under
-/// an unarmed context: quiet windows of whole cells run as raw double
-/// arithmetic. The sweep writes a separate buffer, so every iteration
+/// an unarmed context: quiet windows of whole cells run on PackedReal.
+/// The sweep writes a separate buffer, so every iteration
 /// smooths the same input.
 void mg_smooth_under_context(benchmark::State& state) {
   constexpr int rows = 128;

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/kernels.hpp"
 #include "apps/trial_control.hpp"
@@ -12,14 +13,16 @@ namespace resilience::apps {
 
 namespace {
 
-/// Local rows of the sparse matvec q = A * x_full, on the blocked
-/// row-gather kernel.
+/// Local rows of the sparse matvec q = A * x_full.
 void local_spmv(const SparseMatrix& a, const simmpi::BlockRange& rows,
-                std::span<const Real> x_full, std::span<Real> q) {
-  for (std::int64_t i = rows.lo; i < rows.hi; ++i) {
-    q[static_cast<std::size_t>(i - rows.lo)] =
-        sparse_row_dot(a.row_vals(i), a.row_cols(i), x_full);
-  }
+                std::size_t widest, std::span<const Real> x_full,
+                std::span<Real> q) {
+  csr_matvec(
+      [&](std::size_t i) {
+        const auto g = rows.lo + static_cast<std::int64_t>(i);
+        return std::pair{a.row_vals(g), a.row_cols(g)};
+      },
+      widest, x_full, 0, q);
 }
 
 /// Partial matvec of one 2D block: rows in `rows`, columns restricted to
@@ -28,22 +31,22 @@ void local_spmv(const SparseMatrix& a, const simmpi::BlockRange& rows,
 /// binary search — the dynamic-op stream (ops for matching entries, in
 /// column order) is exactly the one the per-entry `contains` filter made.
 void block_spmv(const SparseMatrix& a, const simmpi::BlockRange& rows,
-                const simmpi::BlockRange& cols, std::span<const Real> x_seg,
-                std::span<Real> w) {
-  for (std::int64_t i = rows.lo; i < rows.hi; ++i) {
-    const auto col_idx = a.row_cols(i);
-    const auto vals = a.row_vals(i);
-    const auto* begin =
-        std::lower_bound(col_idx.data(), col_idx.data() + col_idx.size(),
-                         cols.lo);
-    const auto* end = std::lower_bound(
-        begin, col_idx.data() + col_idx.size(), cols.hi);
-    const auto first = static_cast<std::size_t>(begin - col_idx.data());
-    const auto count = static_cast<std::size_t>(end - begin);
-    w[static_cast<std::size_t>(i - rows.lo)] =
-        sparse_row_dot(vals.subspan(first, count),
-                       col_idx.subspan(first, count), x_seg, cols.lo);
-  }
+                const simmpi::BlockRange& cols, std::size_t widest,
+                std::span<const Real> x_seg, std::span<Real> w) {
+  csr_matvec(
+      [&](std::size_t i) {
+        const auto g = rows.lo + static_cast<std::int64_t>(i);
+        const auto col_idx = a.row_cols(g);
+        const auto* begin = std::lower_bound(
+            col_idx.data(), col_idx.data() + col_idx.size(), cols.lo);
+        const auto* end = std::lower_bound(
+            begin, col_idx.data() + col_idx.size(), cols.hi);
+        const auto first = static_cast<std::size_t>(begin - col_idx.data());
+        const auto count = static_cast<std::size_t>(end - begin);
+        return std::pair{a.row_vals(g).subspan(first, count),
+                         col_idx.subspan(first, count)};
+      },
+      widest, x_seg, cols.lo, w);
 }
 
 /// Largest integer square root if p is a perfect square, else 0.
@@ -120,6 +123,7 @@ AppResult CgApp::run_1d(simmpi::Comm& comm) const {
   const std::int64_t n = config_.n;
   const auto rows = simmpi::block_partition(n, p, rank);
   const auto local_n = static_cast<std::size_t>(rows.count());
+  const std::size_t widest = widest_row(matrix_.row_ptr);
 
   // Power iteration state: x is the current normalized eigenvector guess.
   std::vector<Real> x(local_n, Real(1.0));
@@ -153,7 +157,7 @@ AppResult CgApp::run_1d(simmpi::Comm& comm) const {
 
     for (int it = 0; it < config_.cg_iters; ++it) {
       const auto d_full = allgather_blocks(comm, d, n, full);
-      local_spmv(matrix_, rows, d_full, q);
+      local_spmv(matrix_, rows, widest, d_full, q);
       const Real alpha = rho / global_dot(comm, d, q);
       axpy(alpha, d, z);
       axpy(-alpha, q, r);
@@ -166,7 +170,7 @@ AppResult CgApp::run_1d(simmpi::Comm& comm) const {
     // Final residual ||x - A z|| of this solve (NPB's rnorm).
     {
       const auto z_full = allgather_blocks(comm, z, n, full);
-      local_spmv(matrix_, rows, z_full, q);
+      local_spmv(matrix_, rows, widest, z_full, q);
       std::vector<Real> res(local_n);
       for (std::size_t i = 0; i < local_n; ++i) res[i] = x[i] - q[i];
       rnorm = global_norm2(comm, res);
@@ -209,6 +213,7 @@ AppResult CgApp::run_2d(simmpi::Comm& comm) const {
   const auto cols = simmpi::block_partition(n, grid, gj);
   const auto m = static_cast<std::size_t>(rows.count());  // n / grid
   const auto sub = m / static_cast<std::size_t>(grid);    // n / p
+  const std::size_t widest = widest_row(matrix_.row_ptr);
   // My global sub-block of the n/p-wise vector partition: index gi*grid+gj,
   // i.e. elements [rows.lo + gj*sub, rows.lo + (gj+1)*sub).
   const int transpose_partner = gj * grid + gi;
@@ -239,7 +244,7 @@ AppResult CgApp::run_2d(simmpi::Comm& comm) const {
   std::vector<Real> w(m);
   auto matvec_sub = [&](std::span<const Real> d_sub, std::span<Real> q_sub) {
     const std::vector<Real> d_seg = assemble_segment(d_sub);
-    block_spmv(matrix_, rows, cols, d_seg, w);
+    block_spmv(matrix_, rows, cols, widest, d_seg, w);
     for (int k = 0; k < grid; ++k) {
       if (k == gj) continue;
       row_comm.send(k, kMergeTag,

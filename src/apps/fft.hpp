@@ -3,28 +3,35 @@
 #pragma once
 
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "fsefi/real.hpp"
 
 namespace resilience::apps {
 
-/// Complex value over instrumented reals; trivially copyable so FT's
-/// transpose can ship blocks of them through the transport.
-struct RComplex {
-  fsefi::Real re{0.0};
-  fsefi::Real im{0.0};
+/// Complex value over an arithmetic type T: fsefi::Real, or
+/// fsefi::PackedReal in the FFT's quiet windows, where the same operator
+/// shapes keep every op in the per-op order.
+template <class T>
+struct BasicComplex {
+  T re{0.0};
+  T im{0.0};
 
-  friend RComplex operator+(RComplex a, RComplex b) {
+  friend BasicComplex operator+(BasicComplex a, BasicComplex b) {
     return {a.re + b.re, a.im + b.im};
   }
-  friend RComplex operator-(RComplex a, RComplex b) {
+  friend BasicComplex operator-(BasicComplex a, BasicComplex b) {
     return {a.re - b.re, a.im - b.im};
   }
-  friend RComplex operator*(RComplex a, RComplex b) {
+  friend BasicComplex operator*(BasicComplex a, BasicComplex b) {
     return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
   }
 };
+
+/// Complex value over instrumented reals; trivially copyable so FT's
+/// transpose can ship blocks of them through the transport.
+using RComplex = BasicComplex<fsefi::Real>;
 static_assert(std::is_trivially_copyable_v<RComplex>);
 
 /// Precomputed support tables for power-of-two FFTs of one size.

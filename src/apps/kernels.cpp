@@ -6,161 +6,32 @@
 
 namespace resilience::apps {
 
-namespace {
-
-using fsefi::FaultContext;
-using fsefi::OpKind;
-
-/// True when a window holding these values may run as one raw block: the
-/// rank is already contaminated (divergence tracking is latched, and the
-/// raw block computes value-identical results in the same order), or no
-/// input diverges (then no result can diverge either, so the per-op
-/// observe_result calls being skipped could not have fired).
-inline bool may_block(const FaultContext& ctx, std::uint64_t input_diff) noexcept {
-  return ctx.contaminated() || input_diff == 0;
-}
-
-}  // namespace
-
 Real local_dot(std::span<const Real> a, std::span<const Real> b) {
+  // Chunk cells carry the accumulator: it crosses a cell boundary once per
+  // chunk, and the sum runs in element order as acc += a[i] * b[i].
+  constexpr std::size_t kChunk = 128;
   const std::size_t n = a.size();
-  FaultContext* ctx = fsefi::current_context();
-  if (ctx == nullptr) {
-    // Uninstrumented: same math, primary and shadow, no counting.
-    double v = 0.0, s = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      v += a[i].value() * b[i].value();
-      s += a[i].shadow() * b[i].shadow();
-    }
-    return Real::corrupted(v, s);
-  }
+  const std::size_t chunks = (n + kChunk - 1) / kChunk;
   Real acc = 0.0;
-  std::size_t i = 0;
-  while (i < n) {
-    const auto window =
-        static_cast<std::size_t>(ctx->quiet_ops((n - i) * 2) / 2);
-    if (window == 0) {
-      // An event may fire on this element (or the reference path is on):
-      // per-op instrumented arithmetic.
-      acc += a[i] * b[i];
-      ++i;
-      continue;
-    }
-    const std::size_t end = i + window;
-    double v = acc.value(), s = acc.shadow();
-    std::uint64_t diff = diverged_bits(acc);
-    for (std::size_t k = i; k < end; ++k) {
-      v += a[k].value() * b[k].value();
-      s += a[k].shadow() * b[k].shadow();
-      diff |= diverged_bits(a[k]) | diverged_bits(b[k]);
-    }
-    if (!may_block(*ctx, diff)) {
-      // Divergent inputs on a not-yet-contaminated rank: discard the raw
-      // block (acc is untouched) and redo it per-op so first-contamination
-      // tracking observes the exact operation.
-      for (; i < end; ++i) acc += a[i] * b[i];
-      continue;
-    }
-    ctx->on_block(OpKind::Mul, window);
-    ctx->on_block(OpKind::Add, window);
-    acc = Real::corrupted(v, s);
-    i = end;
-  }
-  return acc;
-}
-
-Real sparse_row_dot(std::span<const double> vals,
-                    std::span<const std::int64_t> cols,
-                    std::span<const Real> x, std::int64_t col_offset) {
-  const std::size_t n = vals.size();
-  FaultContext* ctx = fsefi::current_context();
-  if (ctx == nullptr) {
-    double v = 0.0, s = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const Real& xe = x[static_cast<std::size_t>(cols[k] - col_offset)];
-      v += vals[k] * xe.value();
-      s += vals[k] * xe.shadow();
-    }
-    return Real::corrupted(v, s);
-  }
-  Real acc = 0.0;
-  std::size_t k = 0;
-  while (k < n) {
-    const auto window =
-        static_cast<std::size_t>(ctx->quiet_ops((n - k) * 2) / 2);
-    if (window == 0) {
-      acc += Real(vals[k]) * x[static_cast<std::size_t>(cols[k] - col_offset)];
-      ++k;
-      continue;
-    }
-    const std::size_t end = k + window;
-    double v = acc.value(), s = acc.shadow();
-    std::uint64_t diff = diverged_bits(acc);
-    for (std::size_t e = k; e < end; ++e) {
-      const Real& xe = x[static_cast<std::size_t>(cols[e] - col_offset)];
-      v += vals[e] * xe.value();
-      s += vals[e] * xe.shadow();
-      diff |= diverged_bits(xe);
-    }
-    if (!may_block(*ctx, diff)) {
-      for (; k < end; ++k) {
-        acc +=
-            Real(vals[k]) * x[static_cast<std::size_t>(cols[k] - col_offset)];
-      }
-      continue;
-    }
-    ctx->on_block(OpKind::Mul, window);
-    ctx->on_block(OpKind::Add, window);
-    acc = Real::corrupted(v, s);
-    k = end;
-  }
-  return acc;
-}
-
-Real gather_dot(std::span<const Real> vals,
-                std::span<const std::int64_t> cols, std::span<const Real> x,
-                std::int64_t col_offset) {
-  const std::size_t n = vals.size();
-  FaultContext* ctx = fsefi::current_context();
-  if (ctx == nullptr) {
-    double v = 0.0, s = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const Real& xe = x[static_cast<std::size_t>(cols[k] - col_offset)];
-      v += vals[k].value() * xe.value();
-      s += vals[k].shadow() * xe.shadow();
-    }
-    return Real::corrupted(v, s);
-  }
-  Real acc = 0.0;
-  std::size_t k = 0;
-  while (k < n) {
-    const auto window =
-        static_cast<std::size_t>(ctx->quiet_ops((n - k) * 2) / 2);
-    if (window == 0) {
-      acc += vals[k] * x[static_cast<std::size_t>(cols[k] - col_offset)];
-      ++k;
-      continue;
-    }
-    const std::size_t end = k + window;
-    double v = acc.value(), s = acc.shadow();
-    std::uint64_t diff = diverged_bits(acc);
-    for (std::size_t e = k; e < end; ++e) {
-      const Real& xe = x[static_cast<std::size_t>(cols[e] - col_offset)];
-      v += vals[e].value() * xe.value();
-      s += vals[e].shadow() * xe.shadow();
-      diff |= diverged_bits(vals[e]) | diverged_bits(xe);
-    }
-    if (!may_block(*ctx, diff)) {
-      for (; k < end; ++k) {
-        acc += vals[k] * x[static_cast<std::size_t>(cols[k] - col_offset)];
-      }
-      continue;
-    }
-    ctx->on_block(OpKind::Mul, window);
-    ctx->on_block(OpKind::Add, window);
-    acc = Real::corrupted(v, s);
-    k = end;
-  }
+  run_cells(
+      chunks, static_cast<int>(chunks), 2 * kChunk,
+      [&](auto arith, CellPos at) {
+        using T = typename decltype(arith)::type;
+        const std::size_t lo = at.c * kChunk;
+        const std::size_t hi = std::min(n, lo + kChunk);
+        // acc needs no check: only a per-op chunk can make it diverge, and
+        // that op contaminates the rank.
+        InputCheck<T> in;
+        T sum(acc);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto [ai, bi] = in(a[i], b[i]);
+          sum += ai * bi;
+        }
+        in.check();
+        acc = static_cast<Real>(sum);
+        return CellOps{.add = hi - lo, .mul = hi - lo};
+      },
+      checked_in_cell);
   return acc;
 }
 
@@ -170,83 +41,33 @@ Real global_dot(simmpi::Comm& comm, std::span<const Real> a,
 }
 
 void axpy(Real alpha, std::span<const Real> x, std::span<Real> y) {
-  const std::size_t n = x.size();
-  FaultContext* ctx = fsefi::current_context();
-  if (ctx == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] = Real::corrupted(y[i].value() + alpha.value() * x[i].value(),
-                             y[i].shadow() + alpha.shadow() * x[i].shadow());
-    }
-    return;
-  }
-  std::size_t i = 0;
-  while (i < n) {
-    const auto window =
-        static_cast<std::size_t>(ctx->quiet_ops((n - i) * 2) / 2);
-    if (window == 0) {
-      y[i] += alpha * x[i];
-      ++i;
-      continue;
-    }
-    const std::size_t end = i + window;
-    // y is updated in place, so divergence is scanned *before* computing
-    // (the read-only dot kernels can instead fuse the scan and redo).
-    std::uint64_t diff = diverged_bits(alpha);
-    for (std::size_t k = i; k < end; ++k) {
-      diff |= diverged_bits(x[k]) | diverged_bits(y[k]);
-    }
-    if (!may_block(*ctx, diff)) {
-      for (; i < end; ++i) y[i] += alpha * x[i];
-      continue;
-    }
-    const double av = alpha.value(), as = alpha.shadow();
-    for (std::size_t k = i; k < end; ++k) {
-      y[k] = Real::corrupted(y[k].value() + av * x[k].value(),
-                             y[k].shadow() + as * x[k].shadow());
-    }
-    ctx->on_block(OpKind::Mul, window);
-    ctx->on_block(OpKind::Add, window);
-    i = end;
-  }
+  run_cells(
+      x.size(), static_cast<int>(x.size()), 2,
+      [&](auto arith, CellPos at) {
+        using T = typename decltype(arith)::type;
+        InputCheck<T> in;
+        auto [yi, xi] = in(y[at.c], x[at.c]);
+        yi += in(alpha) * xi;
+        in.check();
+        y[at.c] = static_cast<Real>(yi);
+        return CellOps{.add = 1, .mul = 1};
+      },
+      checked_in_cell);
 }
 
 void xpby(std::span<const Real> x, Real beta, std::span<Real> y) {
-  const std::size_t n = x.size();
-  FaultContext* ctx = fsefi::current_context();
-  if (ctx == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      y[i] = Real::corrupted(x[i].value() + beta.value() * y[i].value(),
-                             x[i].shadow() + beta.shadow() * y[i].shadow());
-    }
-    return;
-  }
-  std::size_t i = 0;
-  while (i < n) {
-    const auto window =
-        static_cast<std::size_t>(ctx->quiet_ops((n - i) * 2) / 2);
-    if (window == 0) {
-      y[i] = x[i] + beta * y[i];
-      ++i;
-      continue;
-    }
-    const std::size_t end = i + window;
-    std::uint64_t diff = diverged_bits(beta);
-    for (std::size_t k = i; k < end; ++k) {
-      diff |= diverged_bits(x[k]) | diverged_bits(y[k]);
-    }
-    if (!may_block(*ctx, diff)) {
-      for (; i < end; ++i) y[i] = x[i] + beta * y[i];
-      continue;
-    }
-    const double bv = beta.value(), bs = beta.shadow();
-    for (std::size_t k = i; k < end; ++k) {
-      y[k] = Real::corrupted(x[k].value() + bv * y[k].value(),
-                             x[k].shadow() + bs * y[k].shadow());
-    }
-    ctx->on_block(OpKind::Mul, window);
-    ctx->on_block(OpKind::Add, window);
-    i = end;
-  }
+  run_cells(
+      x.size(), static_cast<int>(x.size()), 2,
+      [&](auto arith, CellPos at) {
+        using T = typename decltype(arith)::type;
+        InputCheck<T> in;
+        const auto [xi, yi] = in(x[at.c], y[at.c]);
+        const T bi = in(beta);
+        in.check();
+        y[at.c] = static_cast<Real>(xi + bi * yi);
+        return CellOps{.add = 1, .mul = 1};
+      },
+      checked_in_cell);
 }
 
 namespace {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "apps/kernels.hpp"
 #include "apps/trial_control.hpp"
@@ -218,15 +219,18 @@ AppResult MiniFeApp::run(simmpi::Comm& comm) const {
   }
 
   std::vector<Real> gathered;  // allgather_blocks' reused gather buffer
+  const std::size_t widest = widest_row(row_ptr);
   auto matvec = [&](std::span<const Real> in_local, std::span<Real> out) {
     const auto full = allgather_blocks(comm, in_local, n_nodes, gathered);
-    for (std::size_t i = 0; i < local_rows; ++i) {
-      const std::size_t first = row_ptr[i];
-      const std::size_t count = row_ptr[i + 1] - first;
-      out[i] = gather_dot(std::span<const Real>(mat_vals).subspan(first, count),
-                          std::span<const std::int64_t>(col_idx).subspan(first, count),
-                          full);
-    }
+    csr_matvec(
+        [&](std::size_t i) {
+          const std::size_t first = row_ptr[i];
+          const std::size_t count = row_ptr[i + 1] - first;
+          return std::pair{
+              std::span<const Real>(mat_vals).subspan(first, count),
+              std::span<const std::int64_t>(col_idx).subspan(first, count)};
+        },
+        widest, full, 0, out);
   };
 
   for (; it < config_.cg_iters; ++it) {

@@ -31,10 +31,10 @@
 //     filtered-stream increment, and a single predictable decrement; all
 //     plan matching, bit flipping, budget throwing, and countdown
 //     recomputation live in the cold out-of-line on_event().
-//  2. A *blocked counting API* (quiet_ops() + on_block()): kernels ask
-//     how many upcoming ops are guaranteed event-free, run that window as
-//     raw double arithmetic in the exact same operation order, and
-//     account the whole block with two bulk adds.
+//  2. A *blocked counting API* (quiet_ops() + on_block()): the apps'
+//     cell-window driver (apps::run_cells) asks how many upcoming ops are
+//     guaranteed event-free, runs that window on PackedReal in the exact
+//     same operation order, and accounts it with one bulk add per kind.
 //
 // The pre-countdown logic is kept alive, bit-identical, as the reference
 // path: RESILIENCE_FAST_REAL=0 (or set_fast_real_enabled(false) before
@@ -232,8 +232,8 @@ class FaultContext {
 
   /// How many of the next `max_ops` dynamic operations are guaranteed to
   /// be event-free (no injection can become due, no budget exhaustion).
-  /// Blocked kernels run that window as raw arithmetic and account it via
-  /// on_block(). Always 0 on the reference path, which forces kernels
+  /// apps::run_cells runs that window uncounted and accounts it via
+  /// on_block(). Always 0 on the reference path, which forces every cell
   /// through the per-op reference implementation.
   [[nodiscard]] std::uint64_t quiet_ops(std::uint64_t max_ops) const noexcept {
     if (!fast()) return 0;

@@ -189,6 +189,8 @@ class Real {
 
 static_assert(std::is_trivially_copyable_v<Real>,
               "Real must be transportable by simmpi");
+static_assert(std::is_standard_layout_v<Real> && sizeof(Real) == 16,
+              "PackedReal loads a Real as the two doubles at its address");
 
 /// A Real's primary and shadow packed into one SSE2 vector (lane 0 the
 /// primary, lane 1 the shadow), with Real's semantics minus the counting.
@@ -204,7 +206,12 @@ class PackedReal {
   PackedReal() = default;
   // Implicit from double, like Real, so literals broadcast to both lanes.
   PackedReal(double v) noexcept : m_(_mm_set1_pd(v)) {}  // NOLINT(google-explicit-constructor)
-  explicit PackedReal(Real r) noexcept : m_(std::bit_cast<__m128d>(r)) {}
+  // Takes the Real by reference and loads its two doubles as one vector:
+  // by value, GCC rebuilds a register-held operand (axpy's alpha) with two
+  // 8-byte stores and a 16-byte reload in every cell, a failed
+  // store-to-load forward each time.
+  explicit PackedReal(const Real& r) noexcept
+      : m_(_mm_loadu_pd(reinterpret_cast<const double*>(&r))) {}
   explicit operator Real() const noexcept { return std::bit_cast<Real>(m_); }
 
   [[nodiscard]] double value() const noexcept { return _mm_cvtsd_f64(m_); }
@@ -279,9 +286,35 @@ class PackedReal {
   friend bool isnan(PackedReal a) noexcept { return std::isnan(a.value()); }
 
  private:
+  friend class DivergenceMask;
   explicit PackedReal(__m128d m) noexcept : m_(m) {}
 
   __m128d m_;
+};
+
+/// Accumulates whether any of a run of PackedReal values diverges: its
+/// primary and shadow bit patterns differ (as values_diverge). Each add is
+/// register-only (lane shuffles, an XOR and an OR), so a quiet-window cell
+/// checks the inputs it has loaded without reading them again. Adding two
+/// values at once takes one more shuffle than adding one.
+class DivergenceMask {
+ public:
+  void add(PackedReal v) noexcept {
+    bits_ = _mm_or_pd(bits_,
+                      _mm_xor_pd(v.m_, _mm_shuffle_pd(v.m_, v.m_, 1)));
+  }
+  void add(PackedReal u, PackedReal v) noexcept {
+    bits_ = _mm_or_pd(bits_, _mm_xor_pd(_mm_unpacklo_pd(u.m_, v.m_),
+                                        _mm_unpackhi_pd(u.m_, v.m_)));
+  }
+  [[nodiscard]] bool any() const noexcept {
+    const __m128i bits = _mm_castpd_si128(bits_);
+    return (_mm_cvtsi128_si64(bits) |
+            _mm_cvtsi128_si64(_mm_unpackhi_epi64(bits, bits))) != 0;
+  }
+
+ private:
+  __m128d bits_ = _mm_setzero_pd();
 };
 
 static_assert(sizeof(PackedReal) == sizeof(Real),

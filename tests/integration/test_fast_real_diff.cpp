@@ -142,6 +142,7 @@ TEST(FastRealDiff, CampaignBitIdenticalToReference) {
     apps::AppId id;
     int nranks;
     int errors_per_test;
+    const char* size_class = "";
   };
   // MG at 1 rank with 8 errors puts many event windows mid-stencil; 16
   // ranks is the smallest count at which an MG level (the 8-row coarsest)
@@ -150,8 +151,19 @@ TEST(FastRealDiff, CampaignBitIdenticalToReference) {
   // doubling stride. PENNANT and LU run their per-step loops
   // and SSOR sweeps as cell windows: 8 errors at 1 rank put events (and
   // thrown zone updates) mid-loop, and 8 or 16 ranks feed corrupted halos
-  // and wavefront rows into clean windows.
+  // and wavefront rows into clean windows. CG, MiniFE and FT run their
+  // matvec rows, BLAS-1 chunks and butterflies as cells: 8 errors at 1
+  // rank put events mid-row and mid-stage, CG class 2D at 16 ranks runs
+  // the column-restricted block matvec and the row-group merge, MiniFE at
+  // 6 ranks gathers uneven blocks, and FT at 4 ranks transposes corrupted
+  // rows into clean transforms.
   for (const Case c : {Case{apps::AppId::CG, 4, 1},
+                       Case{apps::AppId::CG, 1, 8},
+                       Case{apps::AppId::CG, 16, 1, "2D"},
+                       Case{apps::AppId::MiniFE, 1, 8},
+                       Case{apps::AppId::MiniFE, 6, 1},
+                       Case{apps::AppId::FT, 1, 8},
+                       Case{apps::AppId::FT, 4, 1},
                        Case{apps::AppId::MG, 4, 1},
                        Case{apps::AppId::MG, 1, 8},
                        Case{apps::AppId::MG, 16, 1},
@@ -160,7 +172,7 @@ TEST(FastRealDiff, CampaignBitIdenticalToReference) {
                        Case{apps::AppId::PENNANT, 8, 1},
                        Case{apps::AppId::LU, 1, 8},
                        Case{apps::AppId::LU, 16, 1}}) {
-    const auto app = apps::make_app(c.id);
+    const auto app = apps::make_app(c.id, c.size_class);
     DeploymentConfig cfg;
     cfg.nranks = c.nranks;
     cfg.errors_per_test = c.errors_per_test;

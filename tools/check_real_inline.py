@@ -2,10 +2,12 @@
 """Fail if any library object holds an out-of-line fsefi::Real op.
 
 Every counted fsefi::Real operation is marked always_inline
-(src/fsefi/real.hpp). If an out-of-line copy of Real::binary, one of the
-four binary operators or sqrt reappears in an object file, the compiler
-has stopped inlining there, and every op in that file pays a call plus a
-spill/reload stall (DESIGN.md §8, "Real arithmetic is always inlined").
+(src/fsefi/real.hpp), and so is every fsefi::PackedReal op the quiet
+windows compute on. If an out-of-line copy of Real::binary, one of the
+four binary operators or sqrt of either type reappears in an object
+file, the compiler has stopped inlining there, and every op in that file
+pays a call plus a spill/reload stall (DESIGN.md §8, "Real arithmetic is
+always inlined").
 
 Usage: tools/check_real_inline.py <build-dir>
 Runs `nm -C` over every libresilience_*.a below <build-dir> (build it
@@ -21,14 +23,20 @@ import sys
 
 NS = r"resilience::fsefi::"
 REAL = NS + "Real"
+PACKED = NS + "PackedReal"
+
+
+def ops_of(t):
+    """Out-of-line binary operators and sqrt of fsefi type `t`."""
+    return ("|" + re.escape(NS) + r"operator[-+*/]\(" + re.escape(t) + ", "
+            + re.escape(t) + r"\)"
+            + "|" + re.escape(NS) + r"sqrt\(" + re.escape(t) + r"\)")
+
+
 # Demangled names, optionally followed by a GCC clone suffix such as
 # " [clone .isra.0]" or " [clone .constprop.0]".
 OUT_OF_LINE = re.compile(
-    "^(?:"
-    + re.escape(REAL) + r"::binary\("
-    + "|" + re.escape(NS) + r"operator[-+*/]\(" + re.escape(REAL) + ", "
-    + re.escape(REAL) + r"\)"
-    + "|" + re.escape(NS) + r"sqrt\(" + re.escape(REAL) + r"\)"
+    "^(?:" + re.escape(REAL) + r"::binary\(" + ops_of(REAL) + ops_of(PACKED)
     + ")")
 # Symbol types that mean "defined in this object" (text, weak, local).
 DEFINED = set("TtWw")
@@ -70,11 +78,12 @@ def main():
                   f"out-of-line {symbol}", file=sys.stderr)
             bad += 1
     if bad:
-        print(f"check_real_inline: {bad} out-of-line fsefi::Real op(s); "
-              f"every Real op must inline at its call site", file=sys.stderr)
+        print(f"check_real_inline: {bad} out-of-line fsefi::Real or "
+              f"PackedReal op(s); every one must inline at its call site",
+              file=sys.stderr)
         return 1
     print(f"check_real_inline: ok ({len(archives)} archives, no out-of-line "
-          f"fsefi::Real ops)")
+          f"fsefi::Real or PackedReal ops)")
     return 0
 
 
