@@ -61,8 +61,15 @@ int main() {
       measured = bench::pct(
           harness::CampaignRunner::run(*app, dep).overall.success_rate());
     }
-    table.add_row({std::to_string(p), bench::pct(predicted),
-                   "[" + bench::pct(ci.lo) + ", " + bench::pct(ci.hi) + "]",
+    // Appended, not `"[" + ...`: GCC 12's -O3 inlining of the
+    // operator+ overloads that insert into their right operand raises a
+    // bogus -Wrestrict.
+    std::string interval("[");
+    interval += bench::pct(ci.lo);
+    interval += ", ";
+    interval += bench::pct(ci.hi);
+    interval += "]";
+    table.add_row({std::to_string(p), bench::pct(predicted), interval,
                    measured});
   }
   table.print();

@@ -44,10 +44,16 @@ int main(int argc, char** argv) {
   util::TablePrinter outcomes({"Outcome", "Tests", "Rate", "95% CI"});
   const auto row = [&](const char* name, std::size_t count) {
     const auto ci = util::wilson_interval(count, campaign.overall.trials);
+    // Appended, not `"[" + ...`: GCC 12's -O3 inlining of the
+    // operator+ overloads that insert into their right operand raises a
+    // bogus -Wrestrict.
+    std::string interval("[");
+    interval += util::TablePrinter::pct(ci.lo);
+    interval += ", ";
+    interval += util::TablePrinter::pct(ci.hi);
+    interval += "]";
     outcomes.add_row({name, std::to_string(count),
-                      util::TablePrinter::pct(ci.center),
-                      "[" + util::TablePrinter::pct(ci.lo) + ", " +
-                          util::TablePrinter::pct(ci.hi) + "]"});
+                      util::TablePrinter::pct(ci.center), interval});
   };
   row("Success", campaign.overall.success);
   row("SDC", campaign.overall.sdc);

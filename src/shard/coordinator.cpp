@@ -72,6 +72,11 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   ~Coordinator() {
+    try {
+      absorb_ready_frames();
+    } catch (...) {
+      // Only late workers' ready metrics are lost; shutdown goes on.
+    }
     for (Worker& w : workers_) {
       if (w.fd < 0) continue;
       try {
@@ -114,11 +119,7 @@ class Coordinator {
         fds.push_back({w.fd, POLLIN, 0});
         slots.push_back(slot);
         if (w.unit >= 0 || !w.ready) {
-          const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-              w.deadline - now);
-          const int ms = static_cast<int>(std::max<std::int64_t>(
-              0, std::min<std::int64_t>(left.count(), 60'000)));
-          timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+          timeout_ms = earlier_timeout(timeout_ms, w.deadline, now);
         }
       }
       if (fds.empty()) {
@@ -169,6 +170,51 @@ class Coordinator {
     int unit = -1;  ///< in-flight unit id, -1 when idle
     Clock::time_point deadline{};
   };
+
+  /// `timeout_ms` (-1: none yet) shortened to reach `deadline`, as a
+  /// poll timeout capped at a minute.
+  static int earlier_timeout(int timeout_ms, Clock::time_point deadline,
+                             Clock::time_point now) {
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
+    const int ms = static_cast<int>(std::max<std::int64_t>(
+        0, std::min<std::int64_t>(left.count(), 60'000)));
+    return timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+  }
+
+  /// A worker's golden-store hit travels only in its ready frame. Before
+  /// shutdown, read that frame from every worker that has not sent it
+  /// yet, or stop at the worker's EOF or deadline. No unit is left, so
+  /// none is dispatched and no worker is replaced.
+  void absorb_ready_frames() {
+    pending_.clear();
+    remaining_ = 0;
+    for (;;) {
+      std::vector<pollfd> fds;
+      std::vector<std::size_t> slots;
+      int timeout_ms = -1;
+      const auto now = Clock::now();
+      for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
+        const Worker& w = workers_[slot];
+        if (w.fd < 0 || w.ready) continue;
+        if (w.deadline <= now) {
+          handle_worker_down(slot);
+          continue;
+        }
+        fds.push_back({w.fd, POLLIN, 0});
+        slots.push_back(slot);
+        timeout_ms = earlier_timeout(timeout_ms, w.deadline, now);
+      }
+      if (fds.empty()) return;
+      if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR) {
+        return;
+      }
+      for (std::size_t i = 0; i < fds.size(); ++i) {
+        if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+        handle_readable(slots[i]);
+      }
+    }
+  }
 
   void spawn_worker(std::size_t slot, int kill_after_units) {
     int sv[2];

@@ -51,9 +51,6 @@ namespace resilience::simmpi::detail {
 
 /// The collective an arrival belongs to; ranks of one epoch must agree.
 enum class FusedOp : std::uint8_t {
-  Barrier,
-  Bcast,
-  Reduce,
   Allreduce,
   Allgather,
   Alltoall,
@@ -67,7 +64,7 @@ struct Arrival {
   std::size_t len = 0;        ///< contribution size in bytes
   Fiber* fiber = nullptr;     ///< arriving fiber, for BorrowFiberTls
   std::size_t out_len = 0;    ///< result size in bytes
-  FusedOp op = FusedOp::Barrier;
+  FusedOp op = FusedOp::Allreduce;
 };
 
 /// Fused-collective meeting point for one communicator (one per salt).
@@ -131,7 +128,7 @@ class FusedGroup {
   std::vector<Arrival> arrivals_;
   int arrived_ = 0;
   std::uint64_t current_epoch_ = 0;
-  FusedOp current_op_ = FusedOp::Barrier;
+  FusedOp current_op_ = FusedOp::Allreduce;
   std::uint64_t done_epoch_ = 0;
 };
 

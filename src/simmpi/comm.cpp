@@ -21,41 +21,6 @@ void set_fused_collectives_enabled(bool enabled) noexcept {
 
 }  // namespace detail
 
-void Comm::barrier() {
-  if (fused_active()) {
-    // Fused barrier: the last arriving fiber releases everyone. The tag
-    // sequence still advances and the stats still record the logical
-    // notify/release decomposition, so the two paths are
-    // indistinguishable to campaign results.
-    if (job_->abort.triggered()) throw AbortError();
-    const std::uint64_t epoch = next_collective_epoch(6);
-    const int logical_sends = rank_ == 0 ? size_ - 1 : 1;
-    for (int i = 0; i < logical_sends; ++i) record_logical_send(1);
-    detail::Arrival arrival;
-    arrival.fiber = FiberScheduler::current_fiber();
-    arrival.op = detail::FusedOp::Barrier;
-    arrive_fused(fused_group(), rank_, epoch, arrival, [] {});
-    return;
-  }
-  // Linear notify/release through rank 0. Two message waves; abort-safe
-  // because it reuses the ordinary mailbox machinery.
-  const int tag = next_collective_tag(6);
-  const std::byte token{0};
-  if (rank_ == 0) {
-    std::byte sink{};
-    for (int r = 1; r < size_; ++r) {
-      recv_internal(r, tag, std::span<std::byte>(&sink, 1));
-    }
-    for (int r = 1; r < size_; ++r) {
-      send_internal(r, tag, std::span<const std::byte>(&token, 1));
-    }
-  } else {
-    send_internal(0, tag, std::span<const std::byte>(&token, 1));
-    std::byte sink{};
-    recv_internal(0, tag, std::span<std::byte>(&sink, 1));
-  }
-}
-
 namespace {
 struct SplitEntry {
   int color = 0;

@@ -1,9 +1,15 @@
 // The per-rank communicator handle: typed point-to-point messaging and
 // deterministic collectives over the mailbox transport.
 //
-// Semantics follow MPI where it matters for resilience modeling:
+// The surface is what the mini-apps call, and no more: send/recv/
+// sendrecv/irecv/wait_all, allreduce, allgather, alltoall and split, plus
+// the mailbox bcast/reduce/gather that fused allreduce and allgather are
+// checked against. Semantics follow MPI where it matters for resilience
+// modeling:
 //  - sends are buffered and non-blocking (MPI_Send on eager-size messages);
-//  - receives block with (source, tag) matching and non-overtaking order;
+//  - receives name an exact (source, tag) pair and match it in
+//    non-overtaking order, so which message a receive takes never depends
+//    on the schedule (there are no wildcard receives);
 //  - collectives are SPMD: every rank of a communicator must call the same
 //    sequence of collectives (the paper's application model, Section 2,
 //    assumes all MPI processes run the same computation);
@@ -112,30 +118,18 @@ inline constexpr int kMaxUserTag = (1 << detail::kUserTagBits) - 1;
 template <typename T>
 concept Transportable = std::is_trivially_copyable_v<T>;
 
-/// Binary reduction operators for reduce/allreduce/scan.
-/// Any callable T(const T&, const T&) works; these cover the common cases.
+/// Binary reduction operators for reduce/allreduce: the two the apps use.
+/// Any callable T(const T&, const T&) works.
 struct Sum {
   template <typename T>
   T operator()(const T& a, const T& b) const {
     return a + b;
   }
 };
-struct Prod {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return a * b;
-  }
-};
 struct Min {
   template <typename T>
   T operator()(const T& a, const T& b) const {
     return b < a ? b : a;
-  }
-};
-struct Max {
-  template <typename T>
-  T operator()(const T& a, const T& b) const {
-    return a < b ? b : a;
   }
 };
 
@@ -156,8 +150,7 @@ class Comm {
   template <Transportable T>
   void send(int dest, int tag, std::span<const T> values) {
     check_peer(dest, "send");
-    check_tag(tag);
-    post(dest, detail::wire_user_tag(salt_, tag), values);
+    post(dest, salted_tag(tag), values);
   }
 
   template <Transportable T>
@@ -165,24 +158,21 @@ class Comm {
     send(dest, tag, std::span<const T>(&value, 1));
   }
 
-  /// Blocking receive into a caller-sized buffer. The matched message must
-  /// contain exactly `out.size()` elements of T.
-  /// `source` may be kAnySource and `tag` may be kAnyTag.
-  /// Returns the actual source rank (in this communicator).
+  /// Blocking receive from exactly (source, tag) into a caller-sized
+  /// buffer. The matched message must contain exactly `out.size()`
+  /// elements of T.
   template <Transportable T>
-  int recv(int source, int tag, std::span<T> out) {
-    Envelope env = my_mailbox().pop_matching(wire_source(source, "recv"),
-                                             wire_recv_tag(tag));
+  void recv(int source, int tag, std::span<T> out) {
+    Envelope env =
+        my_mailbox().pop_matching(wire_source(source, "recv"), salted_tag(tag));
     if (env.bytes.size() != out.size_bytes()) {
       throw UsageError("recv: message size " + std::to_string(env.bytes.size()) +
                        " bytes does not match buffer " +
                        std::to_string(out.size_bytes()) + " bytes");
     }
     if (!out.empty()) std::memcpy(out.data(), env.bytes.data(), out.size_bytes());
-    const int source_rank = local_rank_of(env.source);
     my_mailbox().recycle(std::move(env));
     TransportTraits<T>::on_receive(std::span<T>(out.data(), out.size()));
-    return source_rank;
   }
 
   template <Transportable T>
@@ -200,34 +190,14 @@ class Comm {
     recv(source, recv_tag, recv_buf);
   }
 
-  /// True if a matching message is already queued (MPI_Iprobe).
-  [[nodiscard]] bool probe(int source, int tag) {
-    if (my_mailbox().probe(wire_source(source, "probe"),
-                           wire_recv_tag(tag))) {
-      return true;
-    }
-    // Probe loops would starve the sender under the cooperative core;
-    // let the peers run before reporting no.
-    FiberScheduler::yield_current();
-    return false;
-  }
-
   // ---- nonblocking ----------------------------------------------------------
 
-  /// Nonblocking send. Sends are buffered, so the returned request is
-  /// already complete; it exists for symmetric wait_all code.
-  template <Transportable T>
-  Request isend(int dest, int tag, std::span<const T> values) {
-    send(dest, tag, values);
-    return Request{};
-  }
-
-  /// Nonblocking receive: matching is deferred to wait()/test() on the
-  /// returned request. The buffer must stay alive until completion.
+  /// Nonblocking receive: matching is deferred to wait() on the returned
+  /// request. The buffer must stay alive until completion.
   template <Transportable T>
   Request irecv(int source, int tag, std::span<T> out) {
     const int wire_src = wire_source(source, "irecv");
-    return Request(&my_mailbox(), wire_src, wire_recv_tag(tag),
+    return Request(&my_mailbox(), wire_src, salted_tag(tag),
                    std::as_writable_bytes(out),
                    [](std::span<std::byte> bytes) {
                      TransportTraits<T>::on_receive(std::span<T>(
@@ -243,22 +213,13 @@ class Comm {
 
   // ---- collectives ----------------------------------------------------------
 
-  /// Synchronize all ranks (linear gather to rank 0 + release fan-out).
-  void barrier();
-
-  /// Broadcast `buf` from `root` to all ranks over a binomial tree.
-  /// The broadcast executes as one fused combine (the last arriving fiber
-  /// copies each parent's buffer to its children); with fusion off every
-  /// tree edge is a mailbox message. Both paths deliver the same bytes
-  /// with the same per-rank receive instrumentation and the same logical
-  /// transport stats.
+  /// Broadcast `buf` from `root` to all ranks over a binary tree, one
+  /// mailbox message per tree edge. This is the reference decomposition
+  /// of the bcast phase that fused allreduce and allgather run in their
+  /// combine (combine_bcast_subtree).
   template <Transportable T>
   void bcast(std::span<T> buf, int root) {
     check_peer(root, "bcast");
-    if (fused_active()) {
-      bcast_fused(buf, root);
-      return;
-    }
     const int tag = next_collective_tag(0);
     // Renumber so the root is virtual rank 0, then walk the binomial tree.
     const int vrank = (rank_ - root + size_) % size_;
@@ -275,24 +236,16 @@ class Comm {
     }
   }
 
-  template <Transportable T>
-  T bcast_value(T value, int root) {
-    bcast(std::span<T>(&value, 1), root);
-    return value;
-  }
-
-  /// Element-wise reduction of `in` into `out` on `root`.
-  /// Contributions are combined bottom-up over a fixed binary tree, so the
-  /// combine order is identical for every run at a given job size.
+  /// Element-wise reduction of `in` into `out` on `root`, one mailbox
+  /// message per tree edge. Contributions are combined bottom-up over a
+  /// fixed binary tree, so the combine order is identical for every run
+  /// at a given job size. This is the reference decomposition of fused
+  /// allreduce's reduce phase (combine_reduce_subtree).
   template <Transportable T, typename Op = Sum>
   void reduce(std::span<const T> in, std::span<T> out, int root, Op op = {}) {
     check_peer(root, "reduce");
     if (in.size() != out.size() && rank_ == root) {
       throw UsageError("reduce: in/out size mismatch on root");
-    }
-    if (fused_active()) {
-      reduce_fused(in, out, root, op);
-      return;
     }
     const int tag = next_collective_tag(1);
     const int vrank = (rank_ - root + size_) % size_;
@@ -341,8 +294,10 @@ class Comm {
     return out;
   }
 
-  /// Gather equal-size blocks onto `root`; out must hold size()*in.size()
-  /// elements on the root and may be empty elsewhere.
+  /// Gather equal-size blocks onto `root` as mailbox messages; out must
+  /// hold size()*in.size() elements on the root and may be empty
+  /// elsewhere. This is the reference decomposition of fused allgather's
+  /// gather phase (combine_gather_to_root).
   template <Transportable T>
   void gather(std::span<const T> in, std::span<T> out, int root) {
     check_peer(root, "gather");
@@ -384,87 +339,11 @@ class Comm {
         out.subspan(static_cast<std::size_t>(rank_) * in.size(), in.size()),
         "allgather");
     if (fused_active()) {
-      allgather_fused(in, out, /*uniform=*/true);
+      allgather_fused(in, out);
       return;
     }
     gather(in, out, /*root=*/0);
     bcast(out, /*root=*/0);
-  }
-
-  /// Variable-count gather (MPI_Gatherv): rank r contributes counts[r]
-  /// elements; `counts` must be identical on every rank (exchange sizes
-  /// with an allgather first if they are not known). `out` must hold
-  /// sum(counts) elements on the root.
-  template <Transportable T>
-  void gatherv(std::span<const T> in, std::span<T> out,
-               std::span<const std::size_t> counts, int root) {
-    check_peer(root, "gatherv");
-    check_counts(counts, in.size(), "gatherv");
-    const int tag = next_collective_tag(2);
-    if (rank_ == root) {
-      std::size_t offset = 0;
-      for (int r = 0; r < size_; ++r) {
-        auto slot = out.subspan(offset, counts[static_cast<std::size_t>(r)]);
-        if (r == rank_) {
-          if (in.data() != slot.data()) {
-            std::copy(in.begin(), in.end(), slot.begin());
-          }
-        } else {
-          recv_internal(r, tag, slot);
-        }
-        offset += counts[static_cast<std::size_t>(r)];
-      }
-      if (offset != out.size()) {
-        throw UsageError("gatherv: out must hold sum(counts) elements");
-      }
-    } else {
-      send_internal(root, tag, in);
-    }
-  }
-
-  /// Variable-count gather-to-all (MPI_Allgatherv): gatherv onto rank 0
-  /// plus a broadcast, fused like allgather. `out` must hold sum(counts)
-  /// elements on every rank.
-  template <Transportable T>
-  void allgatherv(std::span<const T> in, std::span<T> out,
-                  std::span<const std::size_t> counts) {
-    check_counts(counts, in.size(), "allgatherv");
-    const auto [own, total] = own_offset_and_total(counts);
-    if (total != out.size()) {
-      throw UsageError("allgatherv: out must hold sum(counts) elements");
-    }
-    check_own_block_only(in, in, out, out.subspan(own, in.size()),
-                         "allgatherv");
-    if (fused_active()) {
-      allgather_fused(in, out, /*uniform=*/false);
-      return;
-    }
-    gatherv(in, out, counts, /*root=*/0);
-    bcast(out, /*root=*/0);
-  }
-
-  /// Scatter equal-size blocks from `root`; in must hold size()*out.size()
-  /// elements on the root and may be empty elsewhere.
-  template <Transportable T>
-  void scatter(std::span<const T> in, std::span<T> out, int root) {
-    check_peer(root, "scatter");
-    const int tag = next_collective_tag(3);
-    if (rank_ == root) {
-      if (in.size() != out.size() * static_cast<std::size_t>(size_)) {
-        throw UsageError("scatter: in must be size()*block elements on root");
-      }
-      for (int r = 0; r < size_; ++r) {
-        auto block = in.subspan(static_cast<std::size_t>(r) * out.size(),
-                                out.size());
-        if (r == rank_) {
-          std::copy(block.begin(), block.end(), out.begin());
-        } else {
-          send_internal(r, tag, block);
-        }
-      }
-    } else {
-      recv_internal(root, tag, out);
-    }
   }
 
   /// Personalized all-to-all exchange of equal-size blocks: block j of `in`
@@ -501,85 +380,6 @@ class Comm {
       recv_internal(r, tag,
                     out.subspan(static_cast<std::size_t>(r) * block, block));
     }
-  }
-
-  /// Variable-count personalized exchange (MPI_Alltoallv). `in` holds my
-  /// blocks back to back in rank order with sizes `send_counts`; `out`
-  /// receives blocks in rank order with sizes `recv_counts`. Zero-count
-  /// blocks are not sent. Always mailbox traffic (no app calls it); `in`
-  /// and `out` may share only this rank's own block, as for alltoall.
-  template <Transportable T>
-  void alltoallv(std::span<const T> in,
-                 std::span<const std::size_t> send_counts, std::span<T> out,
-                 std::span<const std::size_t> recv_counts) {
-    check_counts(send_counts, SIZE_MAX, "alltoallv");
-    check_counts(recv_counts, SIZE_MAX, "alltoallv");
-    const auto [send_own, send_total] = own_offset_and_total(send_counts);
-    const auto [recv_own, recv_total] = own_offset_and_total(recv_counts);
-    if (send_total > in.size() || recv_total > out.size()) {
-      throw UsageError("alltoallv: counts exceed the buffers");
-    }
-    const auto me = static_cast<std::size_t>(rank_);
-    check_own_block_only(in, in.subspan(send_own, send_counts[me]), out,
-                         out.subspan(recv_own, recv_counts[me]), "alltoallv");
-    const int tag = next_collective_tag(4);
-    std::size_t send_offset = 0;
-    std::span<const T> self_block;
-    for (int r = 0; r < size_; ++r) {
-      const auto count = send_counts[static_cast<std::size_t>(r)];
-      auto block = in.subspan(send_offset, count);
-      if (r == rank_) {
-        self_block = block;
-      } else if (count > 0) {
-        send_internal(r, tag, block);
-      }
-      send_offset += count;
-    }
-    std::size_t recv_offset = 0;
-    for (int r = 0; r < size_; ++r) {
-      const auto count = recv_counts[static_cast<std::size_t>(r)];
-      auto slot = out.subspan(recv_offset, count);
-      if (r == rank_) {
-        if (self_block.size() != count) {
-          throw UsageError("alltoallv: self block size mismatch");
-        }
-        std::copy(self_block.begin(), self_block.end(), slot.begin());
-      } else if (count > 0) {
-        recv_internal(r, tag, slot);
-      }
-      recv_offset += count;
-    }
-  }
-
-  /// Reduce size()*block elements element-wise, then scatter one block to
-  /// each rank (MPI_Reduce_scatter_block). `in` holds size()*out.size()
-  /// elements; rank r receives block r of the reduction.
-  template <Transportable T, typename Op = Sum>
-  void reduce_scatter(std::span<const T> in, std::span<T> out, Op op = {}) {
-    if (in.size() != out.size() * static_cast<std::size_t>(size_)) {
-      throw UsageError("reduce_scatter: in must be size()*block elements");
-    }
-    std::vector<T> reduced(rank_ == 0 ? in.size() : 0);
-    reduce(in, std::span<T>(reduced), /*root=*/0, op);
-    scatter(std::span<const T>(reduced), out, /*root=*/0);
-  }
-
-  /// Inclusive prefix reduction: rank r receives op(in_0, ..., in_r).
-  /// Linear chain — deterministic and sufficient for our job sizes.
-  template <Transportable T, typename Op = Sum>
-  void scan(std::span<const T> in, std::span<T> out, Op op = {}) {
-    if (in.size() != out.size()) throw UsageError("scan: size mismatch");
-    const int tag = next_collective_tag(5);
-    std::vector<T> acc(in.begin(), in.end());
-    if (rank_ > 0) {
-      std::vector<T> prev(in.size());
-      recv_internal(rank_ - 1, tag, std::span<T>(prev));
-      // Combine as library code: not application computation.
-      [[maybe_unused]] typename TransportTraits<T>::LibraryGuard guard{};
-      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = op(prev[i], acc[i]);
-    }
-    if (rank_ + 1 < size_) send_internal(rank_ + 1, tag, std::span<const T>(acc));
-    std::copy(acc.begin(), acc.end(), out.begin());
   }
 
   // ---- communicator management ----------------------------------------------
@@ -738,19 +538,6 @@ class Comm {
     }
   }
 
-  template <Transportable T>
-  void bcast_fused(std::span<T> buf, int root) {
-    if (job_->abort.triggered()) throw AbortError();
-    const std::uint64_t epoch = next_collective_epoch(0);
-    const int vrank = (rank_ - root + size_) % size_;
-    record_bcast_sends(vrank, buf.size_bytes());
-    detail::FusedGroup& group = fused_group();
-    arrive_fused(group, vrank, epoch,
-                 make_arrival(detail::FusedOp::Bcast, buf.data(), buf.size(),
-                              buf.data(), buf.size()),
-                 [&] { combine_bcast_subtree<T>(group, 0); });
-  }
-
   /// Combiner side of a fused bcast: pre-order walk from virtual rank
   /// `v`, copying each parent's result slot to its children and replaying
   /// the child's receive instrumentation under the child's own fiber TLS.
@@ -778,33 +565,6 @@ class Comm {
       }
       combine_bcast_subtree<T>(group, child_v);
     }
-  }
-
-  template <Transportable T, typename Op>
-  void reduce_fused(std::span<const T> in, std::span<T> out, int root,
-                    Op op) {
-    if (job_->abort.triggered()) throw AbortError();
-    const std::uint64_t epoch = next_collective_epoch(1);
-    const int vrank = (rank_ - root + size_) % size_;
-    // The accumulator lives on this fiber's stack; it stays valid for the
-    // combiner because this fiber stays parked until the combine is
-    // complete (see collective.hpp).
-    std::vector<T> acc(in.begin(), in.end());
-    if (vrank != 0) record_logical_send(acc.size() * sizeof(T));
-    detail::FusedGroup& group = fused_group();
-    arrive_fused(group, vrank, epoch,
-                 make_arrival(detail::FusedOp::Reduce, acc.data(), acc.size(),
-                              vrank == 0 ? out.data() : nullptr, acc.size()),
-                 [&] {
-                   combine_reduce_subtree<T>(group, 0, op);
-                   // Root-local finish: copy virtual rank 0's accumulator
-                   // into its out span (plain copy, no receive
-                   // instrumentation — the mailbox walk's local std::copy).
-                   detail::Arrival& root_a = group.slot(0);
-                   if (root_a.len != 0) {
-                     std::memcpy(root_a.out, root_a.data, root_a.len);
-                   }
-                 });
   }
 
   /// Combiner side of a fused reduce: post-order walk (left child first,
@@ -863,12 +623,10 @@ class Comm {
                  });
   }
 
-  /// Fused allgather(v): rank 0 gathers every contribution in rank order,
-  /// then the bcast tree runs, in one combine. `uniform` demands equal
-  /// contributions (allgather); allgatherv lays them out back to back.
+  /// Fused allgather: rank 0 gathers every contribution in rank order,
+  /// then the bcast tree runs, in one combine.
   template <Transportable T>
-  void allgather_fused(std::span<const T> in, std::span<T> out,
-                       bool uniform) {
+  void allgather_fused(std::span<const T> in, std::span<T> out) {
     if (job_->abort.triggered()) throw AbortError();
     // The gather's and the bcast's sequence numbers, in mailbox order.
     const std::uint64_t epoch = next_collective_epoch(2);
@@ -880,26 +638,25 @@ class Comm {
                  make_arrival(detail::FusedOp::Allgather, in.data(), in.size(),
                               out.data(), out.size()),
                  [&] {
-                   combine_gather_to_root<T>(group, uniform);
+                   combine_gather_to_root<T>(group);
                    combine_bcast_subtree<T>(group, 0);
                  });
   }
 
   /// Combiner side of the gather onto rank 0: copy each rank's
   /// contribution into rank 0's result slot in rank order, replaying
-  /// rank 0's receive instrumentation for every block but its own.
+  /// rank 0's receive instrumentation for every block but its own. Rank 0
+  /// checked that its slot holds size() blocks of its own length.
   template <Transportable T>
-  void combine_gather_to_root(detail::FusedGroup& group, bool uniform) {
+  void combine_gather_to_root(detail::FusedGroup& group) {
     const detail::Arrival& root = group.slot(0);
     BorrowFiberTls borrow(root.fiber);
-    std::size_t offset = 0;
     for (int r = 0; r < size_; ++r) {
       const detail::Arrival& from = group.slot(r);
-      if ((uniform && from.len != root.len) ||
-          from.len > root.out_len - offset) {
+      if (from.len != root.len) {
         throw UsageError("collective: message size mismatch");
       }
-      std::byte* slot = root.out + offset;
+      std::byte* slot = root.out + static_cast<std::size_t>(r) * root.len;
       if (from.len != 0 && from.data != slot) {
         std::memmove(slot, from.data, from.len);
       }
@@ -907,10 +664,6 @@ class Comm {
         TransportTraits<T>::on_receive(
             std::span<T>(reinterpret_cast<T*>(slot), from.len / sizeof(T)));
       }
-      offset += from.len;
-    }
-    if (offset != root.out_len) {
-      throw UsageError("collective: message size mismatch");
     }
   }
 
@@ -999,38 +752,18 @@ class Comm {
     return group_.empty() ? local : group_[static_cast<std::size_t>(local)];
   }
 
-  /// World rank -> local rank (receives report communicator-local ranks).
-  [[nodiscard]] int local_rank_of(int world) const noexcept {
-    if (group_.empty()) return world;
-    const auto it = std::find(group_.begin(), group_.end(), world);
-    return it == group_.end() ? -1
-                              : static_cast<int>(it - group_.begin());
-  }
-
   [[nodiscard]] Mailbox& my_mailbox() const {
     return *job_->mailboxes[static_cast<std::size_t>(translate(rank_))];
   }
 
-  /// Map a possibly-wildcard local source to the wire (world) source.
-  int wire_source(int source, const char* what) const {
-    if (source == kAnySource) {
-      if (!group_.empty()) {
-        // Wildcard receives on a sub-communicator could match traffic from
-        // members only by source filtering, which the mailbox does not
-        // implement per-group; keep the feature world-only.
-        throw UsageError(std::string(what) +
-                         ": kAnySource unsupported on sub-communicators");
-      }
-      return kAnySource;
-    }
+  /// A checked local source rank as its wire (world) source.
+  [[nodiscard]] int wire_source(int source, const char* what) const {
     check_peer(source, what);
     return translate(source);
   }
 
-  /// Salt a user receive tag (wildcard passes through; the salt keeps
-  /// cross-communicator traffic from matching anyway via the source).
-  [[nodiscard]] int wire_recv_tag(int tag) const {
-    if (tag == kAnyTag) return kAnyTag;
+  /// A checked user tag salted with this communicator's tag space.
+  [[nodiscard]] int salted_tag(int tag) const {
     check_tag(tag);
     return detail::wire_user_tag(salt_, tag);
   }
@@ -1045,31 +778,6 @@ class Comm {
   static void check_tag(int tag) {
     if (tag < 0 || tag > kMaxUserTag) {
       throw UsageError("tag " + std::to_string(tag) + " out of user range");
-    }
-  }
-
-  /// Offset of this rank's block and the total of blocks laid back to
-  /// back with sizes `counts` (already checked to have size() entries).
-  [[nodiscard]] std::pair<std::size_t, std::size_t> own_offset_and_total(
-      std::span<const std::size_t> counts) const noexcept {
-    std::size_t own = 0;
-    std::size_t total = 0;
-    for (int r = 0; r < size_; ++r) {
-      if (r == rank_) own = total;
-      total += counts[static_cast<std::size_t>(r)];
-    }
-    return {own, total};
-  }
-
-  void check_counts(std::span<const std::size_t> counts, std::size_t mine,
-                    const char* what) const {
-    if (counts.size() != static_cast<std::size_t>(size_)) {
-      throw UsageError(std::string(what) + ": counts must have size() entries");
-    }
-    if (mine != SIZE_MAX &&
-        counts[static_cast<std::size_t>(rank_)] != mine) {
-      throw UsageError(std::string(what) +
-                       ": my count does not match my buffer size");
     }
   }
 

@@ -1,22 +1,18 @@
-// Per-rank mailbox with MPI-style (source, tag) matching.
+// Per-rank mailbox with MPI-style exact (source, tag) matching.
 //
 // Sends are buffered (they enqueue and return, like MPI_Send on small
 // messages); receives block until a matching envelope arrives or the job
 // aborts or deadlocks. Matching is FIFO per (source, tag) pair, which is
 // exactly MPI's non-overtaking guarantee.
 //
-// Matching is indexed: envelopes are stored in per-(source, tag)
-// sub-queues keyed by the wire pair, so the common exact-match receive is
-// a hash lookup instead of a scan of every queued message. Wildcard
-// receives (kAnySource / kAnyTag) scan the sub-queue fronts and take the
-// envelope with the smallest arrival stamp — identical to what the old
-// arrival-ordered linear scan returned, at a cost proportional to the
-// number of *distinct* live (source, tag) pairs, not the number of
-// queued messages.
+// Every receive names an exact (source, tag) pair; there are no
+// wildcards. Envelopes are stored in per-(source, tag) sub-queues keyed
+// by the wire pair, so a receive is one hash lookup, and which envelope
+// it takes never depends on the order in which senders ran.
 //
 // A receive without a match parks its fiber: it records its (source, tag)
-// filter in the mailbox's waiter list, and push unparks exactly the
-// waiters its envelope can match (an abort unparks every fiber). There is
+// pair in the mailbox's waiter list, and push unparks exactly the waiters
+// awaiting its envelope's pair (an abort unparks every fiber). There is
 // no timeout: the scheduler detects deadlock deterministically (zero
 // runnable fibers) and wakes parked receivers, which observe deadlocked()
 // and throw. Outside a fiber — the inline 1-rank path — nobody else can
@@ -38,11 +34,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace resilience::simmpi {
-
-/// Wildcard source for receives (the analogue of MPI_ANY_SOURCE).
-inline constexpr int kAnySource = -1;
-/// Wildcard tag for receives (the analogue of MPI_ANY_TAG).
-inline constexpr int kAnyTag = -1;
 
 /// A message in flight: raw bytes plus the matching metadata.
 struct Envelope {
@@ -71,19 +62,20 @@ class Mailbox {
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  /// Enqueue an envelope; never blocks. Only parked receivers whose
-  /// (source, tag) filter matches the envelope are woken — waking the
+  /// Enqueue an envelope; never blocks. Only parked receivers awaiting
+  /// the envelope's (source, tag) pair are woken — waking the
   /// rest would be a thundering herd of resume/re-park cycles (each a
   /// full TLS swap and context switch) for receives that cannot match.
   void push(Envelope env) {
     const int source = env.source;
     const int tag = env.tag;
-    auto& queue = queues_[key_of(source, tag)];
-    queue.push_back(Stamped{next_stamp_++, std::move(env)});
+    queues_[key_of(source, tag)].push_back(std::move(env));
     ++pending_;
     if (sched_ != nullptr) {
       for (const RecvWaiter& waiter : recv_waiters_) {
-        if (waiter.matches(source, tag)) sched_->unpark(waiter.fiber);
+        if (waiter.source == source && waiter.tag == tag) {
+          sched_->unpark(waiter.fiber);
+        }
       }
     }
   }
@@ -117,11 +109,6 @@ class Mailbox {
     }
   }
 
-  /// Non-blocking probe: true if a matching envelope is queued.
-  [[nodiscard]] bool probe(int source, int tag) {
-    return find_match(source, tag) != nullptr;
-  }
-
   /// Number of queued envelopes (any source/tag).
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
@@ -141,14 +128,10 @@ class Mailbox {
   }
 
  private:
-  struct Stamped {
-    std::uint64_t stamp;  ///< global arrival order across all sub-queues
-    Envelope env;
-  };
-  using SubQueue = std::deque<Stamped>;
+  using SubQueue = std::deque<Envelope>;
 
   Envelope take_front(SubQueue& queue) {
-    Envelope env = std::move(queue.front().env);
+    Envelope env = std::move(queue.front());
     queue.pop_front();
     --pending_;
     if (queue.empty()) {
@@ -159,18 +142,12 @@ class Mailbox {
     return env;
   }
 
-  /// A parked receiving fiber plus the (source, tag) filter it awaits;
-  /// push() uses the filter to wake only receivers the envelope can
-  /// satisfy.
+  /// A parked receiving fiber plus the (source, tag) pair it awaits;
+  /// push() wakes only the receivers awaiting the envelope's pair.
   struct RecvWaiter {
     detail::Fiber* fiber = nullptr;
     int source = 0;
     int tag = 0;
-
-    [[nodiscard]] bool matches(int env_source, int env_tag) const noexcept {
-      return (source == kAnySource || source == env_source) &&
-             (tag == kAnyTag || tag == env_tag);
-    }
   };
 
   void remove_recv_waiter(detail::Fiber* fiber) {
@@ -189,35 +166,10 @@ class Mailbox {
             << 32) |
            static_cast<std::uint32_t>(tag);
   }
-  static int key_source(std::uint64_t key) noexcept {
-    return static_cast<int>(key >> 32);
-  }
-  static int key_tag(std::uint64_t key) noexcept {
-    return static_cast<int>(key & 0xffffffffu);
-  }
-
-  /// The sub-queue whose front is the earliest-arrived matching envelope,
-  /// or nullptr. Exact (source, tag) pairs are one hash lookup; wildcards
-  /// scan the live sub-queue fronts for the smallest arrival stamp, which
-  /// preserves the arrival-order semantics of the old linear scan.
+  /// The sub-queue of (source, tag), or nullptr when none is queued.
   SubQueue* find_match(int source, int tag) {
-    if (source != kAnySource && tag != kAnyTag) {
-      const auto it = queues_.find(key_of(source, tag));
-      return it == queues_.end() ? nullptr : &it->second;
-    }
-    SubQueue* best = nullptr;
-    std::uint64_t best_stamp = 0;
-    for (auto& [key, queue] : queues_) {
-      const bool src_ok = source == kAnySource || key_source(key) == source;
-      const bool tag_ok = tag == kAnyTag || key_tag(key) == tag;
-      if (!src_ok || !tag_ok) continue;
-      const std::uint64_t stamp = queue.front().stamp;
-      if (best == nullptr || stamp < best_stamp) {
-        best = &queue;
-        best_stamp = stamp;
-      }
-    }
-    return best;
+    const auto it = queues_.find(key_of(source, tag));
+    return it == queues_.end() ? nullptr : &it->second;
   }
 
   AbortToken* abort_;
@@ -225,7 +177,6 @@ class Mailbox {
   std::vector<RecvWaiter> recv_waiters_;  ///< parked receivers
   /// (source, tag) -> FIFO of envelopes; empty sub-queues are erased.
   std::unordered_map<std::uint64_t, SubQueue> queues_;
-  std::uint64_t next_stamp_ = 0;
   std::size_t pending_ = 0;
   BufferPool pool_;
 };

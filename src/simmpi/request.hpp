@@ -1,7 +1,7 @@
 // Nonblocking communication requests.
 //
-// Sends in this runtime are always buffered, so an isend completes
-// immediately; an irecv defers its matching to wait()/test(). This is a
+// Sends in this runtime are always buffered, so only receives have a
+// nonblocking form: an irecv defers its matching to wait(). This is a
 // legal MPI progress model (completion may happen entirely inside the
 // wait call) and is exactly what the mini-apps need to overlap their halo
 // exchange posts.
@@ -52,29 +52,13 @@ class Request {
            "Request destroyed before wait()");
   }
 
-  /// Block until the operation completes (no-op for completed requests
-  /// and send requests). Returns the source rank for receives, -1 else.
-  int wait() {
-    if (!pending_) return -1;
+  /// Block until the receive completes (no-op for a completed or
+  /// default-constructed request).
+  void wait() {
+    if (!pending_) return;
     Envelope env = mailbox_->pop_matching(source_, tag_);
-    const int actual_source = env.source;
     complete(env);
     mailbox_->recycle(std::move(env));
-    return actual_source;
-  }
-
-  /// True if the operation can complete without blocking; completes it if
-  /// so (MPI_Test semantics).
-  bool test() {
-    if (!pending_) return true;
-    if (!mailbox_->probe(source_, tag_)) {
-      // Polling loops (`while (!req.test()) {}`) would starve the sender
-      // under the cooperative core; let the peers run before reporting no.
-      FiberScheduler::yield_current();
-      return false;
-    }
-    wait();
-    return true;
   }
 
   [[nodiscard]] bool pending() const noexcept { return pending_; }

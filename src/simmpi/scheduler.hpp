@@ -101,10 +101,8 @@ class FiberScheduler {
   [[nodiscard]] bool deadlocked() const noexcept { return deadlocked_; }
 
   /// Reschedule the calling fiber at the back of the run queue so its
-  /// peers can make progress; no-op outside fibers. The non-blocking
-  /// query primitives (probe, Request::test) yield on failure, because a
-  /// cooperative core would otherwise starve the very rank a polling
-  /// loop is waiting on.
+  /// peers can make progress; no-op outside fibers. No simmpi primitive
+  /// polls, so only tests call it, to stage a chosen interleaving.
   static void yield_current();
 
   /// The fiber running on the calling thread (nullptr outside fibers).

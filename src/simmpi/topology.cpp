@@ -1,7 +1,6 @@
 #include "simmpi/topology.hpp"
 
 #include <algorithm>
-#include <string>
 
 namespace resilience::simmpi {
 
@@ -28,84 +27,6 @@ int block_owner(std::int64_t n, int parts, std::int64_t i) {
     return static_cast<int>(i / (base + 1));
   }
   return static_cast<int>(extra + (i - big_span) / base);
-}
-
-std::vector<int> dims_create(int nranks, int ndims) {
-  if (nranks < 1 || ndims < 1) throw UsageError("dims_create: bad arguments");
-  std::vector<int> dims(static_cast<std::size_t>(ndims), 1);
-  // Factorize, then assign primes from largest to smallest onto the
-  // currently-smallest dimension: yields a near-cubic grid (e.g. 12 in 2D
-  // becomes 4 x 3, not 6 x 2).
-  std::vector<int> factors;
-  int remaining = nranks;
-  for (int f = 2; f * f <= remaining;) {
-    if (remaining % f == 0) {
-      factors.push_back(f);
-      remaining /= f;
-    } else {
-      ++f;
-    }
-  }
-  if (remaining > 1) factors.push_back(remaining);
-  std::sort(factors.begin(), factors.end(), std::greater<>());
-  for (int f : factors) {
-    auto it = std::min_element(dims.begin(), dims.end());
-    *it *= f;
-  }
-  std::sort(dims.begin(), dims.end(), std::greater<>());
-  return dims;
-}
-
-CartGrid::CartGrid(std::vector<int> dims, std::vector<bool> periodic)
-    : dims_(std::move(dims)), periodic_(std::move(periodic)), size_(1) {
-  if (dims_.empty() || dims_.size() != periodic_.size()) {
-    throw UsageError("CartGrid: dims/periodic mismatch");
-  }
-  for (int d : dims_) {
-    if (d < 1) throw UsageError("CartGrid: nonpositive dimension");
-    size_ *= d;
-  }
-}
-
-CartGrid CartGrid::balanced(int nranks, int ndims, bool periodic) {
-  return CartGrid(dims_create(nranks, ndims),
-                  std::vector<bool>(static_cast<std::size_t>(ndims), periodic));
-}
-
-int CartGrid::rank_of(const std::vector<int>& coords) const {
-  if (coords.size() != dims_.size()) throw UsageError("rank_of: bad coords");
-  int rank = 0;
-  for (std::size_t d = 0; d < dims_.size(); ++d) {
-    if (coords[d] < 0 || coords[d] >= dims_[d]) {
-      throw UsageError("rank_of: coordinate out of range");
-    }
-    rank = rank * dims_[d] + coords[d];
-  }
-  return rank;
-}
-
-std::vector<int> CartGrid::coords_of(int rank) const {
-  if (rank < 0 || rank >= size_) throw UsageError("coords_of: bad rank");
-  std::vector<int> coords(dims_.size());
-  for (std::size_t d = dims_.size(); d-- > 0;) {
-    coords[d] = rank % dims_[d];
-    rank /= dims_[d];
-  }
-  return coords;
-}
-
-int CartGrid::shift(int rank, int dim, int disp) const {
-  if (dim < 0 || dim >= ndims()) throw UsageError("shift: bad dimension");
-  auto coords = coords_of(rank);
-  const int extent = dims_[static_cast<std::size_t>(dim)];
-  std::int64_t c = coords[static_cast<std::size_t>(dim)] + disp;
-  if (periodic_[static_cast<std::size_t>(dim)]) {
-    c = ((c % extent) + extent) % extent;
-  } else if (c < 0 || c >= extent) {
-    return -1;  // MPI_PROC_NULL
-  }
-  coords[static_cast<std::size_t>(dim)] = static_cast<int>(c);
-  return rank_of(coords);
 }
 
 }  // namespace resilience::simmpi

@@ -2,13 +2,10 @@
 //
 // All six benchmarks strong-scale one fixed input problem across ranks
 // (paper Section 2), so they all need the same machinery: balanced block
-// partitions of an index range, near-cubic process grids, and neighbor
-// lookup on a Cartesian grid.
+// partitions of an index range and the owner of an index under one.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "simmpi/errors.hpp"
 
@@ -32,39 +29,5 @@ BlockRange block_partition(std::int64_t n, int parts, int index);
 
 /// The rank owning global index i under block_partition(n, parts, ·).
 int block_owner(std::int64_t n, int parts, std::int64_t i);
-
-/// Factor `nranks` into `ndims` factors as close to equal as possible,
-/// largest first (the analogue of MPI_Dims_create).
-std::vector<int> dims_create(int nranks, int ndims);
-
-/// Cartesian process grid with optional periodic wraparound per dimension.
-class CartGrid {
- public:
-  CartGrid(std::vector<int> dims, std::vector<bool> periodic);
-
-  /// Convenience: near-balanced grid for nranks in ndims dimensions.
-  static CartGrid balanced(int nranks, int ndims, bool periodic);
-
-  [[nodiscard]] int ndims() const noexcept {
-    return static_cast<int>(dims_.size());
-  }
-  [[nodiscard]] const std::vector<int>& dims() const noexcept { return dims_; }
-  [[nodiscard]] int size() const noexcept { return size_; }
-
-  /// Row-major rank of grid coordinates.
-  [[nodiscard]] int rank_of(const std::vector<int>& coords) const;
-
-  /// Grid coordinates of a rank.
-  [[nodiscard]] std::vector<int> coords_of(int rank) const;
-
-  /// Neighbor of `rank` displaced by `disp` along `dim`; -1 when the
-  /// neighbor falls off a non-periodic boundary (MPI_PROC_NULL).
-  [[nodiscard]] int shift(int rank, int dim, int disp) const;
-
- private:
-  std::vector<int> dims_;
-  std::vector<bool> periodic_;
-  int size_;
-};
 
 }  // namespace resilience::simmpi

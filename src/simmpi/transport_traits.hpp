@@ -23,7 +23,7 @@ struct TransportTraits {
   static void on_receive(std::span<T> values) noexcept { (void)values; }
 
   /// RAII scope instantiated around arithmetic the runtime performs
-  /// internally (reduction combines, scans). The fault injector
+  /// internally (reduction combines). The fault injector
   /// specializes this to suspend instrumentation there: combine operations
   /// are MPI-library code, not application computation, so they are not
   /// injection targets and are not counted — though corruption still

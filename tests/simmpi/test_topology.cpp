@@ -73,72 +73,5 @@ TEST(BlockOwner, OutOfRangeThrows) {
   EXPECT_THROW(block_owner(4, 2, -1), UsageError);
 }
 
-TEST(DimsCreate, ProductEqualsRanks) {
-  for (int p : {1, 2, 6, 12, 64, 100, 128, 97}) {
-    for (int d : {1, 2, 3}) {
-      const auto dims = dims_create(p, d);
-      EXPECT_EQ(static_cast<int>(dims.size()), d);
-      int prod = 1;
-      for (int v : dims) prod *= v;
-      EXPECT_EQ(prod, p);
-    }
-  }
-}
-
-TEST(DimsCreate, NearCubic) {
-  const auto dims = dims_create(64, 3);
-  EXPECT_EQ(dims, (std::vector<int>{4, 4, 4}));
-  const auto dims2 = dims_create(12, 2);
-  EXPECT_EQ(dims2, (std::vector<int>{4, 3}));
-}
-
-TEST(DimsCreate, BadArgumentsThrow) {
-  EXPECT_THROW(dims_create(0, 2), UsageError);
-  EXPECT_THROW(dims_create(4, 0), UsageError);
-}
-
-TEST(CartGrid, RankCoordsRoundTrip) {
-  const CartGrid grid({3, 4}, {false, false});
-  EXPECT_EQ(grid.size(), 12);
-  for (int r = 0; r < grid.size(); ++r) {
-    EXPECT_EQ(grid.rank_of(grid.coords_of(r)), r);
-  }
-}
-
-TEST(CartGrid, ShiftNonPeriodicHitsBoundary) {
-  const CartGrid grid({2, 2}, {false, false});
-  // rank 0 is (0, 0): shifting -1 along either dim falls off.
-  EXPECT_EQ(grid.shift(0, 0, -1), -1);
-  EXPECT_EQ(grid.shift(0, 1, -1), -1);
-  EXPECT_EQ(grid.shift(0, 0, +1), grid.rank_of({1, 0}));
-}
-
-TEST(CartGrid, ShiftPeriodicWrapsAround) {
-  const CartGrid grid({4}, {true});
-  EXPECT_EQ(grid.shift(0, 0, -1), 3);
-  EXPECT_EQ(grid.shift(3, 0, +1), 0);
-  EXPECT_EQ(grid.shift(1, 0, +9), 2);  // large displacement wraps
-}
-
-TEST(CartGrid, BalancedFactoryMatchesDimsCreate) {
-  const auto grid = CartGrid::balanced(12, 2, false);
-  EXPECT_EQ(grid.dims(), dims_create(12, 2));
-  EXPECT_EQ(grid.size(), 12);
-}
-
-TEST(CartGrid, InvalidConstructionThrows) {
-  EXPECT_THROW(CartGrid({}, {}), UsageError);
-  EXPECT_THROW(CartGrid({2}, {true, false}), UsageError);
-  EXPECT_THROW(CartGrid({0}, {false}), UsageError);
-}
-
-TEST(CartGrid, InvalidQueriesThrow) {
-  const CartGrid grid({2, 2}, {false, false});
-  EXPECT_THROW((void)grid.rank_of({5, 0}), UsageError);
-  EXPECT_THROW((void)grid.rank_of({0}), UsageError);
-  EXPECT_THROW((void)grid.coords_of(99), UsageError);
-  EXPECT_THROW((void)grid.shift(0, 7, 1), UsageError);
-}
-
 }  // namespace
 }  // namespace resilience::simmpi
