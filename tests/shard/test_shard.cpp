@@ -38,9 +38,11 @@
 #include "../binary_mutations.hpp"
 
 #include "apps/app.hpp"
+#include "fsefi/fault_context.hpp"
 #include "fsefi/scenario.hpp"
 #include "harness/campaign.hpp"
 #include "harness/campaign_engine.hpp"
+#include "harness/checkpoint.hpp"
 #include "harness/golden_store.hpp"
 #include "harness/serialize.hpp"
 #include "shard/coordinator.hpp"
@@ -721,12 +723,40 @@ std::string read_text(const std::filesystem::path& path) {
   return buffer.str();
 }
 
+/// Reruns `config` in-process once per reference configuration: the per-op
+/// arithmetic path (fast real off) and no trial fast-forward or early exit
+/// (checkpoints off). Each must save the same bytes as the fast path.
+void expect_reference_legs_match(const apps::App& app,
+                                 const harness::DeploymentConfig& config,
+                                 const std::string& expected,
+                                 const std::filesystem::path& path) {
+  struct SeamRestore {
+    ~SeamRestore() {
+      fsefi::set_fast_real_enabled(true);
+      harness::set_checkpoint_enabled(true);
+    }
+  } restore;
+  const std::pair<const char*, void (*)(bool)> kSeams[] = {
+      {"fast real off", fsefi::set_fast_real_enabled},
+      {"checkpoints off", harness::set_checkpoint_enabled},
+  };
+  for (const auto& [name, set_enabled] : kSeams) {
+    set_enabled(false);
+    harness::CampaignResult reference = harness::CampaignRunner::run(app, config);
+    set_enabled(true);
+    reference.wall_seconds = 0.0;
+    EXPECT_EQ(harness::to_json(reference).dump(2) + "\n", expected)
+        << path << " in-process, " << name;
+  }
+}
+
 // Pinned fixtures: one saved campaign per valid (app, catalog scenario)
 // pair at 8 ranks, 16 trials, default seed, written by the release that
 // still had the multi-worker and thread-per-rank cores, running each job
 // on one scheduler worker (the schedule the single-threaded core
 // reproduces) with wall_seconds zeroed. Rerunning every fixture's config
-// in-process and on 4 shards must reproduce its bytes exactly.
+// in-process, on 4 shards and in-process on both reference paths (fast
+// real off, checkpoints off) must reproduce its bytes exactly.
 TEST(PinnedFixtures, EveryAppScenarioPairReproducesInProcessAndSharded) {
   const std::filesystem::path dir = RESILIENCE_CAMPAIGN_FIXTURE_DIR;
   shard::ShardOptions opts;
@@ -767,6 +797,7 @@ TEST(PinnedFixtures, EveryAppScenarioPairReproducesInProcessAndSharded) {
       sharded.wall_seconds = 0.0;
       EXPECT_EQ(harness::to_json(sharded).dump(2) + "\n", expected)
           << path << " on 4 shards";
+      expect_reference_legs_match(*app, pinned.config, expected, path);
       ++checked;
     }
   }
@@ -778,7 +809,8 @@ TEST(PinnedFixtures, EveryAppScenarioPairReproducesInProcessAndSharded) {
 // (stratified; stops at its cap) and PENNANT under `payload` flips (left
 // unstratified; converges after 96 trials). The saved config does not
 // carry the adaptive engine's settings, so they are set here. Rerunning
-// each in-process and on 2 shards must reproduce its bytes exactly.
+// each in-process, on 2 shards and in-process on both reference paths
+// must reproduce its bytes exactly.
 TEST(PinnedFixtures, AdaptiveCampaignsReproduceInProcessAndSharded) {
   const std::filesystem::path dir =
       std::filesystem::path(RESILIENCE_CAMPAIGN_FIXTURE_DIR) / "adaptive";
@@ -809,6 +841,7 @@ TEST(PinnedFixtures, AdaptiveCampaignsReproduceInProcessAndSharded) {
     sharded.wall_seconds = 0.0;
     EXPECT_EQ(harness::to_json(sharded).dump(2) + "\n", expected)
         << path << " on 2 shards";
+    expect_reference_legs_match(*app, dep, expected, path);
   }
 }
 
