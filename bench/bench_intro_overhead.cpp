@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
   }
 
   // Golden-checkpoint fast path (DESIGN.md §9): the same single-flip
-  // trials with checkpoint fast-forward + early-exit pruning on vs the
-  // RESILIENCE_CHECKPOINT=0 kill switch. The late mix draws every flip
+  // trials with checkpoint fast-forward + early-exit pruning on vs
+  // set_checkpoint_enabled(false). The late mix draws every flip
   // from the last quarter of the target rank's filtered stream — the
   // regime where skipping the fault-free prefix pays most — the early
   // mix from the whole stream. Results are bit-identical either way

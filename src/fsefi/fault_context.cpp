@@ -6,14 +6,12 @@
 
 #include "telemetry/telemetry.hpp"
 #include "util/fiber_tls.hpp"
-#include "util/options.hpp"
 
 namespace resilience::fsefi {
 
 namespace {
 
-// -1 = follow RuntimeOptions, 0 = forced off, 1 = forced on.
-std::atomic<int> g_fast_real_override{-1};
+std::atomic<bool> g_fast_real{true};
 
 // The installed fault context is per-rank state: ranks are fibers sharing
 // one thread, so register the slot for the scheduler to swap it on every
@@ -29,14 +27,11 @@ std::atomic<int> g_fast_real_override{-1};
 }  // namespace
 
 bool fast_real_enabled() noexcept {
-  const int forced = g_fast_real_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool from_options = util::RuntimeOptions::global().fast_real;
-  return from_options;
+  return g_fast_real.load(std::memory_order_relaxed);
 }
 
 void set_fast_real_enabled(bool enabled) noexcept {
-  g_fast_real_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_fast_real.store(enabled, std::memory_order_relaxed);
 }
 
 double flip_bit(double value, int bit) noexcept {

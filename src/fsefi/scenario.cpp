@@ -40,7 +40,7 @@ const ScenarioCatalogEntry kCatalog[] = {
                    ArrivalModel::PoissonTimeline),
      "multi-fault timeline: single-bit register flips arriving as a "
      "Poisson process over the filtered op stream (>= 1 per trial; MTBF "
-     "set by RESILIENCE_MTBF / --mtbf)"},
+     "set by --mtbf)"},
     {"crash",
      scenario_with(FaultDomain::RegisterOperand, FaultPattern::RankCrash,
                    ArrivalModel::FixedOpIndex),

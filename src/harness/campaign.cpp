@@ -10,7 +10,6 @@
 #include "harness/campaign_engine.hpp"
 #include "harness/executor.hpp"
 #include "harness/golden_cache.hpp"
-#include "util/options.hpp"
 
 namespace resilience::harness {
 
@@ -36,18 +35,6 @@ const char* to_string(StopReason reason) noexcept {
       return "trial-cap";
   }
   return "?";
-}
-
-AdaptiveConfig AdaptiveConfig::from_runtime() {
-  const auto& opt = util::RuntimeOptions::global();
-  AdaptiveConfig cfg;
-  cfg.enabled = opt.adaptive;
-  cfg.batch = opt.adaptive_batch;
-  cfg.min_trials = opt.adaptive_min_trials;
-  cfg.ci_half_width = opt.adaptive_ci_half_width;
-  cfg.ci_relative = opt.adaptive_ci_relative;
-  cfg.stratify = opt.adaptive_stratify;
-  return cfg;
 }
 
 double signature_deviation(const std::vector<double>& a,

@@ -67,11 +67,6 @@ struct AdaptiveConfig {
 
   friend bool operator==(const AdaptiveConfig&,
                          const AdaptiveConfig&) = default;
-
-  /// Resolve defaults from the RESILIENCE_ADAPTIVE* knobs
-  /// (util::RuntimeOptions). Library callers get the engine only by
-  /// opting in here or by setting fields explicitly.
-  static AdaptiveConfig from_runtime();
 };
 
 /// Why an adaptive campaign stopped drawing trials.

@@ -18,9 +18,10 @@
 //     tail would replay the golden run exactly; the trial terminates and
 //     the runner synthesizes its observable outputs from the golden data.
 //
-// Default-on behind RESILIENCE_CHECKPOINT=0 / set_checkpoint_enabled(false)
-// kill switches; the differential suite asserts campaign results are
-// bit-identical either way.
+// Default-on; set_checkpoint_enabled(false) selects the reference path
+// (every trial replays from the start), and the differential suite and
+// the pinned fixtures assert campaign results are bit-identical either
+// way.
 #pragma once
 
 #include <cstddef>
@@ -36,18 +37,18 @@
 namespace resilience::harness {
 
 /// Whether trials use captured checkpoints (fast-forward + early exit;
-/// default yes). RESILIENCE_CHECKPOINT=0 disables; set_checkpoint_enabled()
-/// forces it per process (tests and benches). Golden captures themselves
-/// are unconditional: their boundary metadata doubles as the
-/// ResidentState scenario's sample space, which must not change shape
-/// with this knob.
+/// default yes). set_checkpoint_enabled(false) disables it per process
+/// (tests and benches). Golden captures themselves are unconditional:
+/// their boundary metadata doubles as the ResidentState scenario's sample
+/// space, which must not change shape with this switch.
 [[nodiscard]] bool checkpoint_enabled() noexcept;
 void set_checkpoint_enabled(bool enabled) noexcept;
 
-/// Maximum boundaries whose full rank state a golden capture stores
-/// (RESILIENCE_CHECKPOINT_BUDGET, default 8, minimum 1). Digests and op
-/// profiles are kept at every boundary regardless.
-[[nodiscard]] std::size_t checkpoint_budget();
+/// Maximum boundaries whose full rank state a golden capture stores.
+/// Digests and op profiles are kept at every boundary regardless. Stored
+/// goldens record it, so a file captured under another budget (by an
+/// older binary) loads as a miss.
+[[nodiscard]] constexpr std::size_t checkpoint_budget() noexcept { return 8; }
 
 // ---- state digest / serialization -----------------------------------------
 

@@ -114,8 +114,8 @@ std::vector<std::byte> encode_golden_v2(const std::string& label, int nranks,
   w.u32(nsections);
   w.u32(static_cast<std::uint32_t>(nranks));
   // Captures are unconditional now; the flag survives so files written by
-  // older binaries under RESILIENCE_CHECKPOINT=0 (flag 0, no capture
-  // data) read as misses and get refilled. An app without boundary hooks
+  // older binaries with checkpoints off (flag 0, no capture data) read as
+  // misses and get refilled. An app without boundary hooks
   // still writes flag 1 with no checkpoint section.
   w.u32(1u);
   w.u64(checkpoint_budget());
@@ -264,8 +264,9 @@ std::shared_ptr<const GoldenRun> decode_golden_v2(
     throw util::BinError("golden store: app label mismatch");
   }
 
-  // A file captured under RESILIENCE_CHECKPOINT=0 (flag 0: written before
-  // captures became unconditional) or under another budget is valid but
+  // A file captured with checkpoints off (flag 0: written before captures
+  // became unconditional) or under another budget (written by an older
+  // binary whose budget was configurable) is valid but
   // not what this process would have profiled: the fast-forward path and
   // the resident-state sample space would diverge from a fresh run. Miss
   // without unlinking — a fill renames over it.

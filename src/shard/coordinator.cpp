@@ -476,7 +476,6 @@ struct TempStoreRemover {
 ShardOptions ShardOptions::from_runtime() {
   const auto& opt = util::RuntimeOptions::global();
   ShardOptions s;
-  s.shards = opt.shards;
   s.golden_store_dir = opt.golden_store;
   s.debug_kill_unit = opt.shard_kill_unit;
   return s;

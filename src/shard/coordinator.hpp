@@ -51,8 +51,9 @@ struct ShardOptions {
   /// off.
   int debug_kill_unit = -1;
 
-  /// Resolve from RESILIENCE_SHARDS / RESILIENCE_GOLDEN_STORE /
-  /// RESILIENCE_SHARD_KILL (util::RuntimeOptions).
+  /// Defaults plus the golden-store directory (RESILIENCE_GOLDEN_STORE)
+  /// and the kill drill (RESILIENCE_SHARD_KILL) from util::RuntimeOptions.
+  /// The worker count is the caller's to set.
   static ShardOptions from_runtime();
 };
 

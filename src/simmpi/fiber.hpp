@@ -27,8 +27,9 @@
 // page below it, so an overflow faults instead of silently corrupting a
 // neighbour. Campaigns create and destroy thousands of fibers (one per
 // rank per job), so mappings are recycled through a process-wide freelist
-// keyed by size — steady-state jobs pay no mmap/munmap at all. Size comes
-// from RESILIENCE_FIBER_STACK_KB (resolved by the scheduler).
+// keyed by size — steady-state jobs pay no mmap/munmap at all. Size is
+// 256 KiB per rank (detail::set_fiber_stack_kb in simmpi/runtime.hpp is
+// the test seam).
 //
 // Sanitizers: ThreadSanitizer models each fiber as a logical thread.
 // Every switch is announced via __tsan_switch_to_fiber immediately before

@@ -10,32 +10,24 @@
 
 #include "simmpi/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/options.hpp"
 
 namespace resilience::simmpi {
 
 namespace detail {
 namespace {
 
-// Programmatic override: 0 = follow RuntimeOptions. The options value is
-// latched on first use (same latching caveat as every set_*_enabled
-// pattern in this repo — documented in util/options.hpp).
-std::atomic<std::size_t> g_stack_kb_override{0};
+constexpr std::size_t kDefaultFiberStackKb = 256;
+std::atomic<std::size_t> g_stack_kb{kDefaultFiberStackKb};
 
 }  // namespace
 
 std::size_t resolved_fiber_stack_bytes() noexcept {
-  std::size_t kb = g_stack_kb_override.load(std::memory_order_relaxed);
-  if (kb == 0) {
-    static const std::size_t from_options =
-        util::RuntimeOptions::global().fiber_stack_kb;
-    kb = from_options;
-  }
-  return kb * 1024;
+  return g_stack_kb.load(std::memory_order_relaxed) * 1024;
 }
 
 void set_fiber_stack_kb(std::size_t kb) noexcept {
-  g_stack_kb_override.store(kb, std::memory_order_relaxed);
+  g_stack_kb.store(kb == 0 ? kDefaultFiberStackKb : kb,
+                   std::memory_order_relaxed);
 }
 
 void set_scheduler_workers(int /*workers*/) noexcept {}

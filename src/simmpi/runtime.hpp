@@ -28,7 +28,8 @@ namespace resilience::simmpi {
 namespace detail {
 
 [[nodiscard]] std::size_t resolved_fiber_stack_bytes() noexcept;
-/// Override the fiber stack size (0 = back to options).
+/// Per-rank fiber stack size in KiB (default 256; 0 = back to the
+/// default). Tests shrink it to probe the guard page.
 void set_fiber_stack_kb(std::size_t kb) noexcept;
 
 /// Does nothing. Every job runs its fibers on the launching thread; the

@@ -21,11 +21,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback,
 /// unset. Anything other than 0 or 1 warns on stderr and falls back.
 bool env_flag(const char* name, bool fallback);
 
-/// Read a floating-point environment variable; returns `fallback` when
-/// unset. Non-numeric values warn on stderr and fall back; values below
-/// `min_value` warn and clamp.
-double env_double(const char* name, double fallback, double min_value = 0.0);
-
 /// Read a string environment variable; returns `fallback` when unset.
 std::string env_str(const char* name, const std::string& fallback);
 

@@ -3,13 +3,55 @@
 // here for that reason.
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <iterator>
+#include <string_view>
+
+#include <unistd.h>
 
 namespace resilience::util {
+
+namespace {
+
+// Every RESILIENCE_* variable a parse site in this file reads, each
+// spelled once. The parse sites take their names through knob(), which
+// does not compile for a name missing here, and tools/check_knobs.py
+// fails when an entry has no parse site; from_env() warns about any other
+// RESILIENCE_* variable set in the environment.
+constexpr std::string_view kKnobs[] = {
+    "RESILIENCE_TRIALS",       "RESILIENCE_SEED",
+    "RESILIENCE_THREADS",      "RESILIENCE_GOLDEN_STORE",
+    "RESILIENCE_SHARD_KILL",   "RESILIENCE_FRAME_CAP_MB",
+};
+
+consteval const char* knob(std::string_view name) {
+  const std::string_view* known = std::ranges::find(kKnobs, name);
+  if (known == std::end(kKnobs)) throw "knob() names no entry of kKnobs";
+  return known->data();
+}
+
+/// Warn once per RESILIENCE_* variable in the environment that no parse
+/// site reads: a deleted or misspelt knob must not vanish silently.
+void warn_unknown_knobs() {
+  constexpr std::string_view kPrefix = "RESILIENCE_";
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string_view var(*entry);
+    if (!var.starts_with(kPrefix)) continue;
+    const std::string_view name = var.substr(0, var.find('='));
+    if (std::ranges::find(kKnobs, name) != std::end(kKnobs)) continue;
+    std::fprintf(stderr,
+                 "warning: %.*s: no such knob, ignoring it (see the "
+                 "README's knob table)\n",
+                 static_cast<int>(name.size()), name.data());
+  }
+}
+
+}  // namespace
 
 std::int64_t env_int(const char* name, std::int64_t fallback,
                      std::int64_t min_value) {
@@ -47,28 +89,6 @@ bool env_flag(const char* name, bool fallback) {
   return fallback;
 }
 
-double env_double(const char* name, double fallback, double min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr,
-                 "warning: %s: ignoring non-numeric value \"%s\", using "
-                 "default %g\n",
-                 name, raw, fallback);
-    return fallback;
-  }
-  if (parsed < min_value) {
-    std::fprintf(stderr,
-                 "warning: %s: value %g is below the minimum %g, clamping\n",
-                 name, parsed, min_value);
-    return min_value;
-  }
-  return parsed;
-}
-
 std::string env_str(const char* name, const std::string& fallback) {
   const char* raw = std::getenv(name);
   return (raw == nullptr || *raw == '\0') ? fallback : std::string(raw);
@@ -76,54 +96,25 @@ std::string env_str(const char* name, const std::string& fallback) {
 
 BenchConfig BenchConfig::from_env(std::size_t default_trials) {
   BenchConfig cfg{};
-  cfg.trials = static_cast<std::size_t>(
-      env_int("RESILIENCE_TRIALS", static_cast<std::int64_t>(default_trials)));
+  cfg.trials = static_cast<std::size_t>(env_int(
+      knob("RESILIENCE_TRIALS"), static_cast<std::int64_t>(default_trials)));
   cfg.seed = static_cast<std::uint64_t>(
-      env_int("RESILIENCE_SEED", 20180813, /*min_value=*/0));
+      env_int(knob("RESILIENCE_SEED"), 20180813, /*min_value=*/0));
   return cfg;
 }
 
 RuntimeOptions RuntimeOptions::from_env() {
   RuntimeOptions options;
   options.threads = static_cast<int>(
-      env_int("RESILIENCE_THREADS", 0, /*min_value=*/0));
-  options.fiber_stack_kb = static_cast<std::size_t>(
-      env_int("RESILIENCE_FIBER_STACK_KB",
-              static_cast<std::int64_t>(options.fiber_stack_kb),
-              /*min_value=*/16));
-  options.fast_real = env_flag("RESILIENCE_FAST_REAL", options.fast_real);
-  options.checkpoint = env_flag("RESILIENCE_CHECKPOINT", options.checkpoint);
-  options.checkpoint_budget = static_cast<std::size_t>(env_int(
-      "RESILIENCE_CHECKPOINT_BUDGET",
-      static_cast<std::int64_t>(options.checkpoint_budget)));
-  options.adaptive = env_flag("RESILIENCE_ADAPTIVE", options.adaptive);
-  options.adaptive_ci_half_width =
-      env_double("RESILIENCE_ADAPTIVE_CI", options.adaptive_ci_half_width,
-                 /*min_value=*/1e-4);
-  options.adaptive_ci_relative = env_double(
-      "RESILIENCE_ADAPTIVE_REL", options.adaptive_ci_relative, /*min_value=*/0.0);
-  options.adaptive_batch = static_cast<std::size_t>(
-      env_int("RESILIENCE_ADAPTIVE_BATCH",
-              static_cast<std::int64_t>(options.adaptive_batch)));
-  options.adaptive_min_trials = static_cast<std::size_t>(
-      env_int("RESILIENCE_ADAPTIVE_MIN",
-              static_cast<std::int64_t>(options.adaptive_min_trials)));
-  options.adaptive_stratify =
-      env_flag("RESILIENCE_ADAPTIVE_STRATIFY", options.adaptive_stratify);
-  options.shards = static_cast<int>(
-      env_int("RESILIENCE_SHARDS", 0, /*min_value=*/0));
-  options.golden_store = env_str("RESILIENCE_GOLDEN_STORE", "");
+      env_int(knob("RESILIENCE_THREADS"), 0, /*min_value=*/0));
+  options.golden_store = env_str(knob("RESILIENCE_GOLDEN_STORE"), "");
   options.shard_kill_unit = static_cast<int>(
-      env_int("RESILIENCE_SHARD_KILL", -1, /*min_value=*/-1));
+      env_int(knob("RESILIENCE_SHARD_KILL"), -1, /*min_value=*/-1));
   options.frame_cap_mb = static_cast<std::size_t>(
-      env_int("RESILIENCE_FRAME_CAP_MB",
+      env_int(knob("RESILIENCE_FRAME_CAP_MB"),
               static_cast<std::int64_t>(options.frame_cap_mb),
               /*min_value=*/1));
-  options.scenario = env_str("RESILIENCE_SCENARIO", "");
-  options.mtbf_factor =
-      env_double("RESILIENCE_MTBF", options.mtbf_factor, /*min_value=*/0.0);
-  options.trace_path = env_str("RESILIENCE_TRACE", "");
-  options.metrics_path = env_str("RESILIENCE_METRICS", "");
+  warn_unknown_knobs();
   return options;
 }
 

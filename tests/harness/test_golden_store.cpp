@@ -24,6 +24,7 @@
 #include "harness/runner.hpp"
 #include "harness/serialize.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/binio.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -321,6 +322,56 @@ TEST(GoldenStoreBinary, TruncatedFileIsUnlinkedAndRefilled) {
   EXPECT_EQ(store.load(*app, 2), nullptr);
   EXPECT_FALSE(std::filesystem::exists(path));
   std::filesystem::remove_all(dir);
+}
+
+// A structurally valid file written under other checkpoint settings (an
+// older binary's budget, or its checkpoints-off flag) is not what this
+// process would profile. It loads as a plain miss and stays in place, and
+// load_or_fill replaces it with a golden equal to a fresh profile.
+TEST(GoldenStoreBinary, FileUnderOtherCheckpointSettingsIsReplaced) {
+  const auto app = apps::make_app(apps::AppId::CG);
+  const harness::GoldenRun fresh = profile_cg(2);
+  // golden-v2 header (DESIGN.md §15): magic[8], then u32 version,
+  // sections, nranks and checkpoint flag, u64 budget, u32 header CRC.
+  constexpr std::size_t kFlagAt = 20, kBudgetAt = 24, kCrcAt = 32;
+  const auto patch = [](std::vector<std::byte>& bytes, std::size_t at,
+                        std::uint64_t value, std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      bytes[at + i] = static_cast<std::byte>(value >> (8 * i));
+    }
+  };
+  struct Rewrite {
+    const char* field;
+    std::size_t at;
+    std::size_t width;
+    std::uint64_t value;
+  };
+  for (const Rewrite& rw : {Rewrite{"budget", kBudgetAt, 8, 3},
+                            Rewrite{"flag", kFlagAt, 4, 0}}) {
+    const std::string dir = fresh_dir("settings");
+    harness::GoldenStore store(dir);
+    store.put(*app, 2, fresh);
+    const std::string path = store.path_for(*app, 2);
+    auto bytes = read_bytes(path);
+    patch(bytes, rw.at, rw.value, rw.width);
+    patch(bytes, kCrcAt, util::crc32(std::span(bytes).first(kCrcAt)), 4);
+    write_bytes(path, bytes);
+
+    EXPECT_EQ(store.load(*app, 2), nullptr) << rw.field;
+    EXPECT_EQ(read_bytes(path), bytes) << rw.field << ": file not kept";
+    int profiles = 0;
+    const auto filled = store.load_or_fill(*app, 2, [&] {
+      ++profiles;
+      return profile_cg(2);
+    });
+    ASSERT_NE(filled, nullptr) << rw.field;
+    EXPECT_EQ(profiles, 1) << rw.field;
+    expect_same_golden(fresh, *filled);
+    const auto reloaded = store.load(*app, 2);
+    ASSERT_NE(reloaded, nullptr) << rw.field << ": file not replaced";
+    expect_same_golden(fresh, *reloaded);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // Only `-v2.bin` files are store files: a leftover golden-v1 JSON file

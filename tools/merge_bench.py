@@ -22,7 +22,8 @@ Output:
                                    element-wise Real arithmetic (bar:
                                    >= 3x unarmed); the _vs_reference
                                    variant compares against the
-                                   RESILIENCE_FAST_REAL=0 kill switch
+                                   set_fast_real_enabled(false)
+                                   reference path
                                  - blocked_dot_speedup.{unarmed,armed}:
                                    blocked local_dot vs the reference
                                    per-op path (bar: >= 5x)
@@ -121,8 +122,9 @@ def derive_micro_metrics(micro):
     # Speedup over the seed per-op structure (out-of-line context lookup +
     # pre-countdown bookkeeping) — the improvement the fast-path PR
     # delivers. The _vs_reference variant compares against the
-    # RESILIENCE_FAST_REAL=0 kill switch, which already benefits from the
-    # inlined context lookup and so isolates the countdown dispatcher.
+    # set_fast_real_enabled(false) reference path, which already benefits
+    # from the inlined context lookup and so isolates the countdown
+    # dispatcher.
     scalar = {"unarmed": ratio("BM_RealAxpySeedPath",
                                "BM_RealAxpyUnderContext"),
               "armed": ratio("BM_RealAxpySeedPathArmed",

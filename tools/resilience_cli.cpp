@@ -10,9 +10,9 @@
 //       [--region all|common|unique] [--mtbf F]
 //       [--save campaign.json] [--seed N] [--jobs N]
 //       Run one fault-injection deployment and print its result.
-//       --scenario picks a catalog entry (default the RESILIENCE_SCENARIO
-//       env knob, else "paper"); --pattern/--region/--mtbf then override
-//       individual scenario fields.
+//       --scenario picks a catalog entry (default "paper");
+//       --pattern/--region/--mtbf then override individual scenario
+//       fields.
 //   resilience predict --app CG [--small 8] [--large 64] [--trials 400]
 //       [--no-measure] [--ci resamples] [--report out.md] [--seed N]
 //       [--jobs N]
@@ -25,9 +25,8 @@
 // campaign and propagation also accept multi-process sharding
 // (DESIGN.md §13):
 //   --shards N           Execute the campaign's trials across N worker
-//                        processes (0 = in-process; default the
-//                        RESILIENCE_SHARDS env knob). Results are
-//                        bit-identical to the in-process run.
+//                        processes (default 0 = in-process). Results
+//                        are bit-identical to the in-process run.
 // The golden pre-pass consults the on-disk golden store when
 // RESILIENCE_GOLDEN_STORE names a directory — repeated invocations skip
 // re-profiling (sharded or not).
@@ -39,8 +38,8 @@
 //                        rate's confidence interval is tight enough.
 //   --ci-half-width W    Absolute CI half-width target (default 0.02);
 //                        implies --trials-auto.
-// Both default to the RESILIENCE_ADAPTIVE* env knobs; stopping points are
-// seed-deterministic (independent of --jobs and --shards).
+// Without either, campaigns run their fixed trial count; stopping points
+// are seed-deterministic (independent of --jobs and --shards).
 //
 // campaign, predict, and propagation also accept:
 //   --trace out.jsonl    Write a structured trace of the run (spans for
@@ -51,8 +50,7 @@
 //                        anything else writes JSON Lines.
 //   --metrics out.json   Dump the run's telemetry counters/histograms as
 //                        JSON after the command finishes.
-// Both default to the RESILIENCE_TRACE / RESILIENCE_METRICS env vars.
-// Telemetry is execution-diagnostic only: results are bit-identical with
+// Both are off by default. Telemetry is execution-diagnostic only: results are bit-identical with
 // tracing on or off.
 //
 // --jobs sets the campaign executor's worker count (0 = auto: the
@@ -77,7 +75,6 @@
 #include "shard/worker.hpp"
 #include "telemetry/sinks.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/options.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -137,16 +134,14 @@ class Args {
   std::set<std::string> consumed_;
 };
 
-/// --trace/--metrics handling shared by the run commands: resolves the
-/// paths (flags override the RESILIENCE_TRACE / RESILIENCE_METRICS env
-/// vars), keeps a process-wide trace session open for the command's
-/// duration, and dumps the final metrics snapshot as JSON.
+/// --trace/--metrics handling shared by the run commands: keeps a
+/// process-wide trace session open for the command's duration, and dumps
+/// the final metrics snapshot as JSON.
 class TelemetryOutputs {
  public:
-  explicit TelemetryOutputs(Args& args) {
-    const auto& opts = util::RuntimeOptions::global();
-    trace_path_ = args.get("trace", opts.trace_path);
-    metrics_path_ = args.get("metrics", opts.metrics_path);
+  explicit TelemetryOutputs(Args& args)
+      : trace_path_(args.get("trace", "")),
+        metrics_path_(args.get("metrics", "")) {
     if (trace_path_.empty()) return;
     std::shared_ptr<telemetry::TraceSink> sink;
     if (trace_path_.ends_with(".json")) {
@@ -190,11 +185,10 @@ class TelemetryOutputs {
   bool tracing_ = false;
 };
 
-/// Adaptive-engine flags layered over the RESILIENCE_ADAPTIVE* env knobs:
-/// --trials-auto switches the engine on, --ci-half-width sets (and, when
-/// given, also switches on) the convergence target.
+/// Adaptive-engine flags: --trials-auto switches the engine on,
+/// --ci-half-width sets (and also switches on) the convergence target.
 harness::AdaptiveConfig parse_adaptive(Args& args) {
-  harness::AdaptiveConfig adaptive = harness::AdaptiveConfig::from_runtime();
+  harness::AdaptiveConfig adaptive;
   if (!args.get("trials-auto", "").empty()) adaptive.enabled = true;
   if (!args.get("ci-half-width", "").empty()) {
     const double half_width = args.get_double("ci-half-width", 0.0);
@@ -238,23 +232,19 @@ fsefi::RegionMask parse_region(const std::string& name) {
 }
 
 /// The deployment flags shared by campaign and propagation.
-/// The scenario resolves in layers: catalog entry (--scenario, else the
-/// RESILIENCE_SCENARIO env knob, else "paper"), then field overrides
-/// (--pattern, --region, --mtbf / RESILIENCE_MTBF).
+/// The scenario resolves in layers: catalog entry (--scenario, default
+/// "paper"), then field overrides (--pattern, --region, --mtbf).
 harness::DeploymentConfig parse_deployment(Args& args) {
-  const auto& opts = util::RuntimeOptions::global();
   harness::DeploymentConfig dep;
   dep.nranks = static_cast<int>(args.get_int("ranks", 8));
   dep.trials = static_cast<std::size_t>(args.get_int("trials", 400));
   dep.errors_per_test = static_cast<int>(args.get_int("errors", 1));
-  std::string scenario = args.get("scenario", opts.scenario);
-  if (scenario.empty()) scenario = "paper";
-  dep.scenario = fsefi::scenario_by_name(scenario);
+  dep.scenario = fsefi::scenario_by_name(args.get("scenario", "paper"));
   const std::string pattern = args.get("pattern", "");
   if (!pattern.empty()) dep.scenario.pattern = parse_pattern(pattern);
   const std::string region = args.get("region", "");
   if (!region.empty()) dep.scenario.regions = parse_region(region);
-  const double mtbf = args.get_double("mtbf", opts.mtbf_factor);
+  const double mtbf = args.get_double("mtbf", 0.0);
   if (mtbf > 0.0) dep.scenario.mtbf_factor = mtbf;
   dep.seed = static_cast<std::uint64_t>(args.get_int("seed", 20180813));
   dep.max_workers = static_cast<int>(args.get_int("jobs", 0));
@@ -262,15 +252,15 @@ harness::DeploymentConfig parse_deployment(Args& args) {
   return dep;
 }
 
-/// Run one campaign honoring the sharding/store knobs: --shards (else
-/// RESILIENCE_SHARDS) > 0 fans the trials out across worker processes;
-/// otherwise in-process, with the golden pre-pass served through the
-/// on-disk store when RESILIENCE_GOLDEN_STORE is set.
+/// Run one campaign honoring the sharding/store knobs: --shards > 0 fans
+/// the trials out across worker processes; otherwise in-process, with the
+/// golden pre-pass served through the on-disk store when
+/// RESILIENCE_GOLDEN_STORE is set.
 harness::CampaignResult run_configured_campaign(
     const apps::App& app, const harness::DeploymentConfig& dep,
     long shards_flag) {
   shard::ShardOptions opts = shard::ShardOptions::from_runtime();
-  if (shards_flag >= 0) opts.shards = static_cast<int>(shards_flag);
+  opts.shards = static_cast<int>(shards_flag);
   if (opts.shards > 0) return shard::run_sharded_campaign(app, dep, opts);
   if (!opts.golden_store_dir.empty()) {
     harness::GoldenStore store(opts.golden_store_dir);
@@ -309,7 +299,7 @@ int cmd_campaign(Args& args) {
   const auto app = apps::make_app(apps::parse_app_id(args.get("app", "CG")),
                                   args.get("class", ""));
   const harness::DeploymentConfig dep = parse_deployment(args);
-  const long shards_flag = args.get_int("shards", -1);
+  const long shards_flag = args.get_int("shards", 0);
   const std::string save_path = args.get("save", "");
   TelemetryOutputs telemetry_out(args);
   args.check_consumed();
@@ -453,7 +443,7 @@ int cmd_propagation(Args& args) {
   const auto app = apps::make_app(apps::parse_app_id(args.get("app", "CG")),
                                   args.get("class", ""));
   const harness::DeploymentConfig dep = parse_deployment(args);
-  const long shards_flag = args.get_int("shards", -1);
+  const long shards_flag = args.get_int("shards", 0);
   TelemetryOutputs telemetry_out(args);
   args.check_consumed();
 

@@ -18,6 +18,7 @@ Usage: tools/run_mutants.py [--only ID ...] [--jobs N] [--work DIR]
 """
 
 import argparse
+import filecmp
 import json
 import os
 import pathlib
@@ -62,6 +63,32 @@ def stale(entries, root):
     return bad
 
 
+def sync_tree(root, dest):
+    """Mirrors `root` into `dest`, rewriting only the files whose bytes
+    differ and deleting the ones `root` no longer has. A rewritten file
+    gets a fresh mtime, so a reused build recompiles it, including a file
+    a mutant left newer than its objects; an unchanged file keeps its
+    mtime and its up-to-date objects."""
+    kept = set()
+    for dirpath, dirnames, filenames in os.walk(root):
+        ignored = IGNORE(dirpath, dirnames + filenames)
+        dirnames[:] = [d for d in dirnames if d not in ignored]
+        target = dest / pathlib.Path(dirpath).relative_to(root)
+        target.mkdir(parents=True, exist_ok=True)
+        for name in filenames:
+            if name in ignored:
+                continue
+            copy = target / name
+            kept.add(copy)
+            original = pathlib.Path(dirpath) / name
+            if not (copy.is_file() and
+                    filecmp.cmp(original, copy, shallow=False)):
+                shutil.copyfile(original, copy)
+    for path in dest.rglob("*"):
+        if path.is_file() and path not in kept:
+            path.unlink()
+
+
 def run(cmd, cwd, log):
     """Runs cmd, appending its output to `log`; returns the exit code."""
     with open(log, "a") as out:
@@ -80,7 +107,8 @@ def main():
     parser.add_argument("--work", type=pathlib.Path,
                         help="work directory for the tree copy and its "
                              "build (default: a fresh temporary directory, "
-                             "removed afterwards); reused when it exists")
+                             "removed afterwards); reused when it exists, "
+                             "recompiling every source that changed")
     args = parser.parse_args()
 
     entries = load(args.only)
@@ -91,15 +119,15 @@ def main():
     if bad:
         return 1
 
-    work = args.work or pathlib.Path(tempfile.mkdtemp(prefix="mutants-"))
+    # Absolute: the build commands run with the work directory as cwd.
+    work = (args.work or pathlib.Path(tempfile.mkdtemp(prefix="mutants-"))
+            ).resolve()
     src = work / "src-tree"
     build = work / "build"
     log = work / "mutants.log"
     start = time.monotonic()
     try:
-        if src.exists():
-            shutil.rmtree(src)
-        shutil.copytree(ROOT, src, ignore=IGNORE)
+        sync_tree(ROOT, src)
         print(f"run_mutants: {len(entries)} mutant(s); tree copy and build "
               f"in {work}, log {log}")
         if run(["cmake", "-S", str(src), "-B", str(build),
