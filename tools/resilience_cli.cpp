@@ -50,8 +50,8 @@
 //                        anything else writes JSON Lines.
 //   --metrics out.json   Dump the run's telemetry counters/histograms as
 //                        JSON after the command finishes.
-// Both are off by default. Telemetry is execution-diagnostic only: results are bit-identical with
-// tracing on or off.
+// Both are off by default. Telemetry is execution-diagnostic only:
+// results are bit-identical with tracing on or off.
 //
 // --jobs sets the campaign executor's worker count (0 = auto: the
 // RESILIENCE_THREADS env var, else hardware concurrency; 1 = serial).

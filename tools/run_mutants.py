@@ -83,7 +83,7 @@ def sync_tree(root, dest):
             original = pathlib.Path(dirpath) / name
             if not (copy.is_file() and
                     filecmp.cmp(original, copy, shallow=False)):
-                shutil.copyfile(original, copy)
+                shutil.copy(original, copy)  # mode, not mtime
     for path in dest.rglob("*"):
         if path.is_file() and path not in kept:
             path.unlink()
